@@ -28,15 +28,6 @@ class DaStep:
 class DaTrace:
     steps: tuple[DaStep, ...]
 
-    def rejection_events(self) -> list[tuple[int, str, str]]:
-        """All (step, school, student) rejection events, 1-based steps."""
-        out = []
-        for t, step in enumerate(self.steps, start=1):
-            for s, rejected in step.rejections.items():
-                for i in rejected:
-                    out.append((t, s, i))
-        return out
-
 
 @dataclass(frozen=True)
 class InterrupterPair:
@@ -213,16 +204,17 @@ def ttc(instance: Instance) -> Matching:
     unassigned = list(instance.students)
     assignment: dict[str, Optional[str]] = {i: UNASSIGNED for i in instance.students}
 
-    while unassigned:
+    while True:
         open_schools = {s for s in instance.schools if seats[s] > 0}
         student_pt: dict[str, str] = {}
         for i in unassigned:
             choices = [s for s in pref_lists[i] if s in open_schools]
-            if not choices:
-                return Matching.of(assignment, instance)
-            student_pt[i] = choices[0]
+            if choices:  # else i stays unassigned: schools never reopen
+                student_pt[i] = choices[0]
+        if not student_pt:
+            return Matching.of(assignment, instance)
         school_pt = {
-            s: min(unassigned, key=prio[s].__getitem__) for s in open_schools
+            s: min(student_pt, key=prio[s].__getitem__) for s in open_schools
         }
 
         in_cycle = _functional_cycles(student_pt, school_pt)
@@ -230,8 +222,7 @@ def ttc(instance: Instance) -> Matching:
             s = student_pt[i]
             assignment[i] = s
             seats[s] -= 1
-        unassigned = [i for i in unassigned if i not in in_cycle]
-    return Matching.of(assignment, instance)
+        unassigned = [i for i in student_pt if i not in in_cycle]
 
 
 def _functional_cycles(student_pt: dict[str, str], school_pt: dict[str, str]) -> set[str]:

@@ -120,10 +120,12 @@ class Instance:
         return {s: k for k, s in enumerate(self.schools)}
 
     @cached_property
+    def has_strict_prefs(self) -> bool:
+        return all(p.is_strict for p in self.prefs.values())
+
+    @cached_property
     def is_strict(self) -> bool:
-        return all(p.is_strict for p in self.prefs.values()) and all(
-            p.is_strict for p in self.prios.values()
-        )
+        return self.has_strict_prefs and all(p.is_strict for p in self.prios.values())
 
     @cached_property
     def pref_rank(self) -> dict[str, dict[str, int]]:

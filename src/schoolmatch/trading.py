@@ -27,9 +27,6 @@ class MatchGraph:
     vertices: tuple[str, ...]
     weights: dict[tuple[str, str], int]
 
-    def edges_from(self, i: str) -> list[str]:
-        return [j for (a, j) in self.weights if a == i]
-
 
 class CliqueKind(enum.Enum):
     TRADING = "trading"
@@ -130,6 +127,53 @@ def find_cliques(
     return cliques
 
 
+def least_trading_clique(graph: MatchGraph, instance: Instance) -> Optional[Clique]:
+    """The first trading clique of :func:`find_cliques`, found without
+    enumerating cycles; needs strict preference profiles.
+
+    Cycles start at their least student and compare as index tuples, so
+    take the least v on a trading cycle of G[>= v] and grow a path from v:
+    close it at v once it holds a weight-1 edge, else step to the least
+    out-neighbour u that still has a completion.  With strict preferences
+    a weight-0 edge only joins students who hold the same school (or
+    none), and such students have the same in-neighbours.  So a cycle
+    through v is trading iff it leaves v's school group, (w, v) has weight
+    1 iff w is outside it, and a path back into the group enters it from
+    such a w.  Hence u has a completion iff, avoiding the path and all
+    students up to v, u reaches an in-neighbour w of v, with (w, v) of
+    weight 1 while the path has no weight-1 edge yet: one reverse search
+    per step, and the walk never dead-ends after its first step.
+    """
+    if not instance.has_strict_prefs:
+        raise ValueError("least_trading_clique needs strict preferences")
+    order = instance.student_index
+    succ: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    pred: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    for i, j in graph.weights:
+        succ[i].append(j)
+        pred[j].append(i)
+    for v in sorted(graph.vertices, key=order.__getitem__):
+        path, strict = [v], False
+        while True:
+            if strict and (path[-1], v) in graph.weights:
+                return Clique(tuple(path), CliqueKind.TRADING)
+            free = {x for x in graph.vertices if order[x] > order[v]} - set(path)
+            stack = [w for w in pred[v] if w in free and (strict or graph.weights[w, v])]
+            reach = set(stack)
+            while stack:
+                for x in pred[stack.pop()]:
+                    if x in free and x not in reach:
+                        reach.add(x)
+                        stack.append(x)
+            nxt = min((u for u in succ[path[-1]] if u in reach), key=order.__getitem__,
+                      default=None)
+            if nxt is None:  # only on the first step: no trading cycle from v
+                break
+            strict = strict or graph.weights[path[-1], nxt] == 1
+            path.append(nxt)
+    return None
+
+
 def has_trading_clique(graph: MatchGraph) -> bool:
     """True iff some cycle carries a weight-1 edge.
 
@@ -165,7 +209,6 @@ class TadamResult:
     matching: Matching
     baseline: Matching
     applied: tuple[Clique, ...]
-    tiebreak_seed: int
 
 
 def tadam_run(
@@ -180,21 +223,28 @@ def tadam_run(
     Ties in preferences or priorities are broken with seed 0 for the
     baseline run; the trading graph always uses the true weak preferences.
     Null cliques are never applied (they change no ranks).
+    Canonical runs on strict preferences (priorities may be weak) pick
+    each clique in polynomial time with :func:`least_trading_clique`; all
+    other runs enumerate every cycle, and only they obey ``cycle_limit``.
     """
     rng = None if policy == "canonical" else random.Random(policy)
+    polynomial = rng is None and instance.has_strict_prefs
     strict = instance if instance.is_strict else tie_break(instance, 0)
     baseline, _ = sosm(strict)
     current = baseline
     applied: list[Clique] = []
     while True:
         graph = prune(build_graph(instance, current))
-        trading = [
-            c for c in find_cliques(graph, instance, cycle_limit)
-            if c.kind is CliqueKind.TRADING
-        ]
-        if not trading:
-            return TadamResult(current, baseline, tuple(applied), 0)
-        pick = trading[0] if rng is None else rng.choice(trading)
+        if polynomial:
+            pick = least_trading_clique(graph, instance)
+        else:
+            trading = [
+                c for c in find_cliques(graph, instance, cycle_limit)
+                if c.kind is CliqueKind.TRADING
+            ]
+            pick = (trading[0] if rng is None else rng.choice(trading)) if trading else None
+        if pick is None:
+            return TadamResult(current, baseline, tuple(applied))
         current = apply_clique(instance, current, pick)
         applied.append(pick)
 

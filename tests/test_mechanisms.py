@@ -142,3 +142,14 @@ def test_unassigned_when_seats_short():
     assert m["i1"] == "s1" and m["i2"] is None
     t = ttc(inst)
     assert t["i1"] == "s1" and t["i2"] is None
+
+
+def test_ttc_keeps_placing_after_a_list_runs_out():
+    both = WeakOrder.strict(["s1", "s2"])
+    prio = WeakOrder.strict(["i1", "i2", "i3"])
+    inst = Instance(
+        ("i1", "i2", "i3"), ("s1", "s2"), {"s1": 1, "s2": 1},
+        {"i1": both, "i2": WeakOrder.strict(["s1"]), "i3": both},
+        {"s1": prio, "s2": prio},
+    )
+    assert outcome(ttc(inst)) == {"i1": "s1", "i2": None, "i3": "s2"}

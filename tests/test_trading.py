@@ -4,7 +4,8 @@ import pytest
 
 from schoolmatch import Matching, preference_index, sosm, ttc
 from schoolmatch import oracle, trading
-from schoolmatch.model import Instance, WeakOrder
+from schoolmatch.errors import CycleLimitExceededError
+from schoolmatch.model import Instance, WeakOrder, tie_break
 from schoolmatch.strategy import random_strict_instance
 
 
@@ -138,6 +139,73 @@ def test_trading_clique_strictly_lowers_index():
             if clique.kind is trading.CliqueKind.TRADING:
                 after = trading.apply_clique(inst, current, clique)
                 assert preference_index(inst, after) < preference_index(inst, current)
+
+
+def varied_strict_instance(rng):
+    """Strict preferences, a fifth of them truncated; capacities 1-3, often
+    fewer seats than students; priorities in three coarse classes."""
+    n, m = rng.randint(5, 8), rng.randint(2, 4)
+    students = tuple(f"i{k}" for k in range(1, n + 1))
+    schools = tuple(f"s{k}" for k in range(1, m + 1))
+    prefs = {}
+    for i in students:
+        order = rng.sample(schools, m)
+        if rng.random() < 0.2:
+            order = order[: rng.randint(1, m)]
+        prefs[i] = WeakOrder.strict(order)
+    prios = {}
+    for s in schools:
+        order = rng.sample(students, n)
+        cuts = sorted(rng.sample(range(1, n), 2))
+        prios[s] = WeakOrder.of(order[a:b] for a, b in zip([0] + cuts, cuts + [n]))
+    capacity = {s: rng.randint(1, 3) for s in schools}
+    return Instance(students, schools, capacity, prefs, prios)
+
+
+def enumerated_tadam(instance):
+    """Reference canonical run: the first trading clique of find_cliques."""
+    strict = instance if instance.is_strict else tie_break(instance, 0)
+    current, _ = sosm(strict)
+    applied = []
+    while True:
+        graph = trading.prune(trading.build_graph(instance, current))
+        pick = next(
+            (c for c in trading.find_cliques(graph, instance)
+             if c.kind is trading.CliqueKind.TRADING),
+            None,
+        )
+        if pick is None:
+            return current, tuple(applied)
+        current = trading.apply_clique(instance, current, pick)
+        applied.append(pick)
+
+
+def test_canonical_tadam_matches_enumeration():
+    rng = random.Random(35)
+    applied = short = 0
+    for _ in range(1200):
+        inst = varied_strict_instance(rng)
+        result = trading.tadam_run(inst)
+        assert (result.matching, result.applied) == enumerated_tadam(inst)
+        applied += len(result.applied)
+        short += sum(inst.capacity.values()) < len(inst.students)
+    assert applied > 200 and short > 300
+
+
+def test_canonical_tadam_needs_no_cycle_limit():
+    inst = random_strict_instance(random.Random(2), 40, 40)
+    result = trading.tadam_run(inst, cycle_limit=1)
+    assert result.applied
+    assert not trading.has_trading_clique(trading.build_graph(inst, result.matching))
+
+
+def test_seeded_policy_and_weak_prefs_enumerate(scp6):
+    with pytest.raises(CycleLimitExceededError):
+        trading.tadam_run(random_strict_instance(random.Random(2), 40, 40), 7, cycle_limit=1)
+    with pytest.raises(CycleLimitExceededError):
+        trading.tadam_run(scp6, cycle_limit=0)
+    with pytest.raises(ValueError):
+        trading.least_trading_clique(trading.build_graph(scp6, sosm(tie_break(scp6, 0))[0]), scp6)
 
 
 def test_tadam_enumerate_scp2(scp2):
