@@ -62,21 +62,20 @@ def priority_violations(instance: Instance, matching: Matching) -> list[Violatio
 
 def is_stable(instance: Instance, matching: Matching) -> bool:
     """No priority violation and no student below a school with a free seat."""
-    if priority_violations(instance, matching):
-        return False
+    return not priority_violations(instance, matching) and not below_free_seat(instance, matching)
+
+
+def below_free_seat(instance: Instance, matching: Matching) -> bool:
+    """True iff some student strictly prefers a school with a free seat to
+    her own assignment."""
     fill = matching.fill_counts()
+    free = [s for s in instance.schools if fill.get(s, 0) < instance.capacity[s]]
     pref_rank = instance.pref_rank
     for i in instance.students:
-        assigned = matching[i]
-        own = (
-            pref_rank[i][assigned]
-            if assigned is not UNASSIGNED
-            else len(instance.prefs[i].classes) + 1
-        )
-        for s in instance.schools:
-            if fill.get(s, 0) < instance.capacity[s] and pref_rank[i][s] < own:
-                return False
-    return True
+        own = rank(instance.prefs[i], matching[i])
+        if any(pref_rank[i][s] < own for s in free):
+            return True
+    return False
 
 
 def dominates(instance: Instance, a: Matching, b: Matching) -> bool:
@@ -120,22 +119,12 @@ def _is_efficient_by_graph(instance: Instance, matching: Matching) -> bool:
     from .mechanisms import sosm
     from .model import tie_break
 
-    fill = matching.fill_counts()
-    pref_rank = instance.pref_rank
-    for i in instance.students:
-        assigned = matching[i]
-        own = (
-            pref_rank[i][assigned]
-            if assigned is not UNASSIGNED
-            else len(instance.prefs[i].classes) + 1
+    if below_free_seat(instance, matching):
+        raise InstanceTooLargeError(
+            "instance beyond oracle bound and matching leaves a "
+            "preferred seat vacant; no efficiency route applies"
         )
-        for s in instance.schools:
-            if fill.get(s, 0) < instance.capacity[s] and pref_rank[i][s] < own:
-                raise InstanceTooLargeError(
-                    "instance beyond oracle bound and matching leaves a "
-                    "preferred seat vacant; no efficiency route applies"
-                )
-    baseline, _ = sosm(instance if instance.is_strict else tie_break(instance, 0))
+    baseline, _ = sosm(tie_break(instance, 0))
     if matching != baseline and not dominates(instance, matching, baseline):
         raise InstanceTooLargeError(
             "instance beyond oracle bound and matching does not dominate "

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -62,7 +63,11 @@ def _emit_text(value, out, indent: str) -> None:
 def _parse_consent(text: Optional[str], instance: Instance) -> tuple[str, ...]:
     if text is None or text == "all":
         return instance.students
-    return tuple(x.strip() for x in text.split(",") if x.strip())
+    names = tuple(x.strip() for x in text.split(",") if x.strip())
+    unknown = [x for x in names if x not in instance.student_index]
+    if unknown:
+        raise SchoolMatchError(f"--consent names unknown students {unknown}")
+    return names
 
 
 def _parse_policy(text: str) -> "str | int":
@@ -92,7 +97,7 @@ def _load_coalition(path: str, instance: Instance) -> coalitions.Coalition:
 
 def _cmd_solve(args, out) -> int:
     instance = _load_instance(args.file)
-    strict = instance if instance.is_strict else tie_break(instance, args.tiebreak)
+    strict = tie_break(instance, args.tiebreak)
     report: dict = {"mechanism": args.mechanism}
     extra: dict = {}
 
@@ -137,7 +142,7 @@ def _cmd_solve(args, out) -> int:
         {
             "matching": _matching_dict(matching),
             "preference_index": analysis.preference_index(instance, matching),
-            "stable": analysis.is_stable(instance, matching),
+            "stable": not violations and not analysis.below_free_seat(instance, matching),
             "violations": [
                 {"violator": v.violator, "victim": v.victim, "school": v.school}
                 for v in violations
@@ -154,7 +159,7 @@ def _cmd_solve(args, out) -> int:
 
 def _cmd_trace(args, out) -> int:
     instance = _load_instance(args.file)
-    strict = instance if instance.is_strict else tie_break(instance, args.tiebreak)
+    strict = tie_break(instance, args.tiebreak)
     matching, trace = sosm(strict)
     if args.format == "json-like":
         report = {
@@ -198,7 +203,7 @@ def _cmd_trace(args, out) -> int:
 
 def _cmd_enumerate(args, out) -> int:
     instance = _load_instance(args.file)
-    strict = instance if instance.is_strict else tie_break(instance, args.tiebreak)
+    strict = tie_break(instance, args.tiebreak)
 
     if args.what == "stable":
         found = oracle.stable_set(instance)
@@ -247,7 +252,7 @@ def _cmd_enumerate(args, out) -> int:
 def _cmd_analyze(args, out) -> int:
     instance = _load_instance(args.file)
     matching = textio.parse_matching(Path(args.matching).read_text(), instance)
-    strict = instance if instance.is_strict else tie_break(instance, args.tiebreak)
+    strict = tie_break(instance, args.tiebreak)
     baseline, _ = sosm(strict)
     report = {
         "matching": _matching_dict(matching),
@@ -271,7 +276,7 @@ def _cmd_analyze(args, out) -> int:
 
 def _cmd_graph(args, out) -> int:
     instance = _load_instance(args.file)
-    strict = instance if instance.is_strict else tie_break(instance, args.tiebreak)
+    strict = tie_break(instance, args.tiebreak)
     baseline, _ = sosm(strict)
     out.write(trading.to_dot(trading.build_graph(instance, baseline)) + "\n")
     return 0
@@ -451,8 +456,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
-    except SchoolMatchError as exc:
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Reader gone (`| head`): drop the rest so the exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (SchoolMatchError, OSError, UnicodeDecodeError) as exc:  # also unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -47,25 +47,22 @@ def sosm(instance: Instance) -> tuple[Matching, DaTrace]:
     Each step every unengaged student proposes to the best school that has
     not yet rejected her; each school keeps its top up-to-capacity students
     (by priority) among current holds plus new proposers.  Stops when no
-    unengaged student has a school left to propose to.
+    unengaged student has a school left to propose to.  Only students
+    rejected at a step propose at the next, so no step rescans everyone.
     """
     _require_strict(instance)
     pref_lists = instance.strict_pref_lists
     prio = instance.prio_rank
     capacity = instance.capacity
+    index = instance.student_index.__getitem__
 
     pointer = {i: 0 for i in instance.students}   # next list index to propose to
     held_at: dict[str, Optional[str]] = {i: UNASSIGNED for i in instance.students}
     holds: dict[str, list[str]] = {s: [] for s in instance.schools}
     steps: list[DaStep] = []
 
-    while True:
-        proposers = tuple(
-            i for i in instance.students
-            if held_at[i] is UNASSIGNED and pointer[i] < len(pref_lists[i])
-        )
-        if not proposers:
-            break
+    proposers = tuple(i for i in instance.students if pref_lists[i])
+    while proposers:
         proposals: dict[str, list[str]] = {}
         for i in proposers:
             proposals.setdefault(pref_lists[i][pointer[i]], []).append(i)
@@ -84,9 +81,7 @@ def sosm(instance: Instance) -> tuple[Matching, DaTrace]:
                 pointer[i] += 1
             step_holds[s] = tuple(kept)
             if rejected:
-                step_rejections[s] = tuple(
-                    sorted(rejected, key=instance.student_index.__getitem__)
-                )
+                step_rejections[s] = tuple(sorted(rejected, key=index))
         steps.append(
             DaStep(
                 proposers=proposers,
@@ -95,6 +90,8 @@ def sosm(instance: Instance) -> tuple[Matching, DaTrace]:
                 rejections=step_rejections,
             )
         )
+        proposers = tuple(sorted((i for rejected in step_rejections.values() for i in rejected
+                                  if pointer[i] < len(pref_lists[i])), key=index))
 
     matching = Matching.of(held_at, instance)
     return matching, DaTrace(tuple(steps))
@@ -196,32 +193,45 @@ def ttc(instance: Instance) -> Matching:
     Each round every unassigned student points to her best school with a
     free seat and every such school points to its highest-priority
     unassigned student; all (vertex-disjoint) cycles are resolved at once.
+    Schools never reopen and students only leave, so the pointers into each
+    preference list and priority order only move forward over a run.
     """
     _require_strict(instance)
     pref_lists = instance.strict_pref_lists
-    prio = instance.prio_rank
+    prio_lists = {s: instance.prios[s].strict_sequence() for s in instance.schools}
     seats = dict(instance.capacity)
+    student_at = dict.fromkeys(instance.students, 0)
+    school_at = dict.fromkeys(instance.schools, 0)
+    gone: set[str] = set()   # assigned, or no open school left on the list
     unassigned = list(instance.students)
     assignment: dict[str, Optional[str]] = {i: UNASSIGNED for i in instance.students}
 
     while True:
-        open_schools = {s for s in instance.schools if seats[s] > 0}
         student_pt: dict[str, str] = {}
         for i in unassigned:
-            choices = [s for s in pref_lists[i] if s in open_schools]
-            if choices:  # else i stays unassigned: schools never reopen
-                student_pt[i] = choices[0]
+            prefs, k = pref_lists[i], student_at[i]
+            while k < len(prefs) and not seats[prefs[k]]:
+                k += 1
+            student_at[i] = k
+            if k < len(prefs):
+                student_pt[i] = prefs[k]
+            else:  # i stays unassigned: schools never reopen
+                gone.add(i)
         if not student_pt:
             return Matching.of(assignment, instance)
-        school_pt = {
-            s: min(student_pt, key=prio[s].__getitem__) for s in open_schools
-        }
+        school_pt: dict[str, str] = {}
+        for s in dict.fromkeys(student_pt.values()):
+            prio, k = prio_lists[s], school_at[s]
+            while prio[k] in gone:
+                k += 1
+            school_at[s], school_pt[s] = k, prio[k]
 
         in_cycle = _functional_cycles(student_pt, school_pt)
         for i in in_cycle:
             s = student_pt[i]
             assignment[i] = s
             seats[s] -= 1
+        gone |= in_cycle
         unassigned = [i for i in student_pt if i not in in_cycle]
 
 

@@ -12,6 +12,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 UNASSIGNED = None
@@ -32,6 +33,13 @@ class WeakOrder:
     """
 
     classes: tuple[tuple[str, ...], ...]
+    # Set once, at construction: cheaper than cached_property for small orders.
+    is_strict: bool = field(init=False, repr=False, compare=False)
+    _items: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "is_strict", set(map(len, self.classes)) <= {1})
+        object.__setattr__(self, "_items", tuple(chain.from_iterable(self.classes)))
 
     @classmethod
     def strict(cls, items: Iterable[str]) -> "WeakOrder":
@@ -49,17 +57,13 @@ class WeakOrder:
                 out[x] = j
         return out
 
-    @property
-    def is_strict(self) -> bool:
-        return all(len(c) == 1 for c in self.classes)
-
     def items(self) -> tuple[str, ...]:
-        return tuple(x for cl in self.classes for x in cl)
+        return self._items
 
     def strict_sequence(self) -> tuple[str, ...]:
         if not self.is_strict:
             raise ValueError("order has ties; run tie_break first")
-        return tuple(cl[0] for cl in self.classes)
+        return self._items
 
     def without(self, item: str) -> "WeakOrder":
         """Drop one item, preserving the relative order of the rest."""
@@ -234,12 +238,17 @@ def tie_break(instance: Instance, seed: int) -> Instance:
 
     Seed 0 means canonical (declaration-order) refinement; any other seed
     applies a seeded pseudorandom permutation within each class.  Strict
-    instances come back unchanged in content.
+    instances, and strict orders within an instance, come back as the same
+    objects; they consume no random draws.
     """
+    if instance.is_strict:
+        return instance
     rng = random.Random(seed) if seed != 0 else None
     s_index, i_index = instance.school_index, instance.student_index
 
     def refine(order: WeakOrder, index: dict[str, int]) -> WeakOrder:
+        if order.is_strict:
+            return order
         out: list[tuple[str, ...]] = []
         for cl in order.classes:
             members = sorted(cl, key=index.__getitem__)

@@ -22,10 +22,10 @@ from .model import Instance, Matching, UNASSIGNED, WeakOrder, validate
 def _parse_order(text: str, lineno: int) -> WeakOrder:
     classes: list[tuple[str, ...]] = []
     for chunk in text.split(">"):
-        members = tuple(x.strip() for x in chunk.split("="))
-        if any(not m for m in members):
+        members = [x.strip() for x in chunk.split("=")]
+        if "" in members:
             raise ParseError("empty id in ranking", lineno)
-        classes.append(members)
+        classes.append(tuple(members))
     return WeakOrder(tuple(classes))
 
 
@@ -70,6 +70,9 @@ def parse_instance(text: str) -> Instance:
         raise ParseError("no students declared")
     if not schools:
         raise ParseError("no schools declared")
+    undeclared = sorted((set(prefs) - set(students)) | (set(prios) | set(capacity)) - set(schools))
+    if undeclared:
+        raise ParseError(f"pref, prio or capacity lines for undeclared ids {undeclared}")
     for s in schools:
         capacity.setdefault(s, 1)
     instance = Instance(tuple(students), tuple(schools), capacity, prefs, prios)

@@ -14,7 +14,7 @@ import networkx as nx
 
 from .errors import CycleLimitExceededError, SearchLimitExceededError
 from .mechanisms import sosm
-from .model import Instance, Matching, tie_break
+from .model import Instance, Matching, UNASSIGNED, tie_break
 
 DEFAULT_CYCLE_LIMIT = 10**6
 
@@ -41,23 +41,26 @@ class Clique:
     kind: CliqueKind
 
 
+def _seat_ranks(instance: Instance, i: str) -> dict[Optional[str], int]:
+    """Student i's rank of every seat: her list's classes, then unassigned,
+    then the schools absent from a (truncated) list."""
+    n_classes = len(instance.prefs[i].classes)
+    ranks: dict[Optional[str], int] = dict.fromkeys(instance.schools, n_classes + 2)
+    ranks.update(instance.pref_rank[i])
+    ranks[UNASSIGNED] = n_classes + 1
+    return ranks
+
+
 def build_graph(instance: Instance, matching: Matching) -> MatchGraph:
-    pref_rank = instance.pref_rank
-    n_classes = {i: len(instance.prefs[i].classes) for i in instance.students}
-
-    def rank_of(i: str, school) -> int:
-        if school is None:
-            return n_classes[i] + 1
-        # Schools absent from a (truncated) list rank below everything.
-        return pref_rank[i].get(school, n_classes[i] + 2)
-
+    held = [(j, matching[j]) for j in instance.students]
     weights: dict[tuple[str, str], int] = {}
     for i in instance.students:
-        own = rank_of(i, matching[i])
-        for j in instance.students:
+        ranks = _seat_ranks(instance, i)
+        own = ranks[matching[i]]
+        for j, seat in held:
             if i == j:
                 continue
-            other = rank_of(i, matching[j])
+            other = ranks[seat]
             if other < own:
                 weights[(i, j)] = 1
             elif other == own:
@@ -194,11 +197,11 @@ def has_trading_clique(graph: MatchGraph) -> bool:
 
 def apply_clique(instance: Instance, matching: Matching, clique: Clique) -> Matching:
     """Give each student in the cycle the seat of the student she points to."""
-    graph_weights = build_graph(instance, matching).weights
     cycle = clique.cycle
     assignment = matching.as_dict()
     for i, j in zip(cycle, cycle[1:] + cycle[:1]):
-        if (i, j) not in graph_weights:
+        ranks = _seat_ranks(instance, i)
+        if i == j or ranks[matching[j]] > ranks[matching[i]]:
             raise ValueError(f"stale clique: edge {i}->{j} no longer valid")
         assignment[i] = matching[j]
     return Matching.of(assignment, instance)
@@ -229,7 +232,7 @@ def tadam_run(
     """
     rng = None if policy == "canonical" else random.Random(policy)
     polynomial = rng is None and instance.has_strict_prefs
-    strict = instance if instance.is_strict else tie_break(instance, 0)
+    strict = tie_break(instance, 0)
     baseline, _ = sosm(strict)
     current = baseline
     applied: list[Clique] = []
@@ -264,7 +267,7 @@ def tadam_enumerate(
 ) -> TadamEnumeration:
     """All matchings reachable from the deferred-acceptance baseline by
     trading-clique sequences that admit no further trading clique."""
-    strict = instance if instance.is_strict else tie_break(instance, 0)
+    strict = tie_break(instance, 0)
     baseline, _ = sosm(strict)
 
     terminals: set[Matching] = set()
@@ -335,7 +338,7 @@ def realize_domination(
     from .analysis import dominates
     from .model import rank
 
-    strict = instance if instance.is_strict else tie_break(instance, 0)
+    strict = tie_break(instance, 0)
     baseline, _ = sosm(strict)
     if target == baseline:
         return []

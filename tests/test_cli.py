@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,3 +151,39 @@ def test_text_format_solve(capsys):
     code, out = run(capsys, "solve", "--mechanism", "ttc", fix("scp5"))
     assert code == 0
     assert "preference_index: 3" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mechanism", "da", "{missing}"],
+    ["solve", "--mechanism", "da", "{dir}"],
+    ["analyze", "--matching", "{missing}", fix("scp1")],
+    ["solve", "--mechanism", "cim", "--coalition", "{missing}", fix("scp2")],
+])
+def test_unreadable_file_is_one_line_error(tmp_path, capsys, argv):
+    names = {"missing": str(tmp_path / "nope.txt"), "dir": str(tmp_path)}
+    code = main([a.format(**names) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert names["dir" if "{dir}" in argv else "missing"] in err
+
+
+def test_unknown_consent_student_rejected(capsys):
+    code = main(["solve", "--mechanism", "eadam", "--consent", "i1,nobody", fix("scp3")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --consent names unknown students ['nobody']\n"
+
+
+def test_closed_pipe_gives_no_traceback():
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schoolmatch", "solve", "--mechanism", "da", fix("scp3")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader leaves before the first byte, like `| head -0`
+    err = proc.stderr.read().decode()
+    proc.wait()
+    assert err == ""
+    assert proc.returncode == 1

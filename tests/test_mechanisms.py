@@ -1,8 +1,10 @@
 import random
 
 from schoolmatch import Matching, is_stable, preference_index, sosm, ttc
-from schoolmatch.mechanisms import eadam, hopeless_students, interrupters
-from schoolmatch.model import WeakOrder, Instance
+from schoolmatch.mechanisms import (
+    DaStep, DaTrace, EadamResult, _functional_cycles, eadam, hopeless_students, interrupters,
+)
+from schoolmatch.model import UNASSIGNED, WeakOrder, Instance, tie_break
 from schoolmatch.strategy import random_strict_instance
 from schoolmatch import oracle
 
@@ -153,3 +155,117 @@ def test_ttc_keeps_placing_after_a_list_runs_out():
         {"s1": prio, "s2": prio},
     )
     assert outcome(ttc(inst)) == {"i1": "s1", "i2": None, "i3": "s2"}
+
+
+# Reference implementations: deferred acceptance that rescans every student
+# at every step, TTC that rescans every list and takes a minimum over all
+# pointing students at every round, and EADAM on top of the former.
+
+def rescanning_sosm(inst):
+    lists, prio = inst.strict_pref_lists, inst.prio_rank
+    pointer = dict.fromkeys(inst.students, 0)
+    held_at = dict.fromkeys(inst.students, UNASSIGNED)
+    holds = {s: [] for s in inst.schools}
+    steps = []
+    while True:
+        proposers = tuple(i for i in inst.students
+                          if held_at[i] is UNASSIGNED and pointer[i] < len(lists[i]))
+        if not proposers:
+            return Matching.of(held_at, inst), DaTrace(tuple(steps))
+        proposals, kept_at, rejected_at = {}, {}, {}
+        for i in proposers:
+            proposals.setdefault(lists[i][pointer[i]], []).append(i)
+        for s, newcomers in proposals.items():
+            pool = sorted(holds[s] + newcomers, key=prio[s].__getitem__)
+            holds[s], rejected = pool[: inst.capacity[s]], pool[inst.capacity[s]:]
+            held_at.update(dict.fromkeys(newcomers, s))
+            for i in rejected:
+                held_at[i] = UNASSIGNED
+                pointer[i] += 1
+            kept_at[s] = tuple(holds[s])
+            if rejected:
+                rejected_at[s] = tuple(sorted(rejected, key=inst.student_index.__getitem__))
+        steps.append(DaStep(proposers, {s: tuple(v) for s, v in proposals.items()},
+                            kept_at, rejected_at))
+
+
+def rescanning_ttc(inst):
+    seats = dict(inst.capacity)
+    unassigned = list(inst.students)
+    assignment = dict.fromkeys(inst.students, UNASSIGNED)
+    while True:
+        student_pt = {}
+        for i in unassigned:
+            choices = [s for s in inst.strict_pref_lists[i] if seats[s] > 0]
+            if choices:
+                student_pt[i] = choices[0]
+        if not student_pt:
+            return Matching.of(assignment, inst)
+        school_pt = {s: min(student_pt, key=inst.prio_rank[s].__getitem__)
+                     for s in inst.schools if seats[s] > 0}
+        in_cycle = _functional_cycles(student_pt, school_pt)
+        for i in in_cycle:
+            assignment[i] = student_pt[i]
+            seats[student_pt[i]] -= 1
+        unassigned = [i for i in student_pt if i not in in_cycle]
+
+
+def rescanning_eadam(inst, consent):
+    removals, traces = [], []
+    while True:
+        matching, trace = rescanning_sosm(inst)
+        traces.append(trace)
+        pairs = [p for p in interrupters(trace) if p.student in consent]
+        if not pairs:
+            return EadamResult(matching, tuple(removals), tuple(traces))
+        last = max(p.rejection_step for p in pairs)
+        removals.append(tuple(p for p in pairs if p.rejection_step == last))
+        inst = inst.replace_prefs(
+            {p.student: inst.prefs[p.student].without(p.school) for p in removals[-1]})
+
+
+def coarse_instance(rng):
+    """Strict preferences, a quarter of them truncated (some to nothing);
+    capacities 1-3, often fewer seats than students; priorities in one to
+    three classes, broken by a lottery seed 0-4."""
+    n, m = rng.randint(2, 10), rng.randint(1, 6)
+    students = tuple(f"i{k}" for k in range(1, n + 1))
+    schools = tuple(f"s{k}" for k in range(1, m + 1))
+    prefs = {}
+    for i in students:
+        order = rng.sample(schools, m)
+        if rng.random() < 0.25:
+            order = order[: rng.randint(0, m - 1)]
+        prefs[i] = WeakOrder.strict(order)
+    prios = {}
+    for s in schools:
+        order = rng.sample(students, n)
+        cuts = sorted(rng.sample(range(1, n), min(rng.randint(0, 2), n - 1)))
+        prios[s] = WeakOrder.of(order[a:b] for a, b in zip([0] + cuts, cuts + [n]))
+    capacity = {s: rng.randint(1, 3) for s in schools}
+    return tie_break(Instance(students, schools, capacity, prefs, prios), rng.randint(0, 4))
+
+
+def test_pointer_loops_match_rescanning_references():
+    both = WeakOrder.strict(["s1", "s2"])
+    prio = WeakOrder.strict(["i1", "i2", "i3"])
+    list_runs_out = Instance(   # ROADMAP TTC reproduction: i2's list ends mid-run
+        ("i1", "i2", "i3"), ("s1", "s2"), {"s1": 1, "s2": 1},
+        {"i1": both, "i2": WeakOrder.strict(["s1"]), "i3": both},
+        {"s1": prio, "s2": prio},
+    )
+    rng = random.Random(36)
+    instances = [list_runs_out] + [coarse_instance(rng) for _ in range(2500)]
+    short = truncated = removed = 0
+    for inst in instances:
+        assert sosm(inst) == rescanning_sosm(inst)
+        assert ttc(inst) == rescanning_ttc(inst)
+        consent = frozenset(i for i in inst.students if rng.random() < 0.8)
+        result = eadam(inst, consent)
+        reference = rescanning_eadam(inst, consent)
+        assert (result.matching, result.removals, result.traces) == \
+            (reference.matching, reference.removals, reference.traces)
+        short += sum(inst.capacity.values()) < len(inst.students)
+        truncated += any(len(inst.prefs[i].classes) < len(inst.schools) for i in inst.students)
+        removed += bool(result.removals)
+    assert short > 600 and truncated > 1200 and removed > 250

@@ -71,6 +71,14 @@ def test_tie_break_noop_on_strict(scp1):
         assert tie_break(scp1, seed) == scp1
 
 
+def test_tie_break_returns_strict_parts_themselves(scp1, scp6):
+    for seed in (0, 1, 42):
+        assert tie_break(scp1, seed) is scp1
+        strict = tie_break(scp6, seed)
+        assert all(strict.prefs[i] is scp6.prefs[i] for i in ("i2", "i3"))
+        assert all(strict.prios[s] is scp6.prios[s] for s in scp6.schools)
+
+
 def test_tie_break_seeds_cover_both_refinements(scp6):
     seen = set()
     for seed in range(1, 30):

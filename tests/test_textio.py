@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import pytest
 
 from schoolmatch import Matching, sosm
 from schoolmatch import textio
 from schoolmatch.errors import ParseError
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_parse_scp1_roundtrip(scp1):
@@ -48,6 +52,25 @@ def test_parse_incomplete_profile_rejected():
         textio.parse_instance(
             "students i1\nschools s1 s2\npref i1: s1\nprio s1: i1\nprio s2: i1\n"
         )
+
+
+@pytest.mark.parametrize("line", [
+    "pref ghost: s1 > s2",
+    "prio zz: i1",
+    "capacity zz 3",
+    "pref s1: s1 > s2",   # a school id is not a declared student
+])
+def test_parse_undeclared_id_rejected(line):
+    text = "students i1\nschools s1 s2\npref i1: s1 > s2\nprio s1: i1\nprio s2: i1\n"
+    with pytest.raises(ParseError, match="undeclared ids") as err:
+        textio.parse_instance(text + line + "\n")
+    assert line.split()[1].rstrip(":") in str(err.value)
+
+
+def test_every_fixture_parses():
+    for path in sorted(FIXTURES.glob("*.txt")):
+        inst = textio.parse_instance(path.read_text())
+        assert textio.parse_instance(textio.serialize_instance(inst)) == inst
 
 
 def test_matching_roundtrip(scp3):

@@ -164,7 +164,7 @@ def varied_strict_instance(rng):
 
 def enumerated_tadam(instance):
     """Reference canonical run: the first trading clique of find_cliques."""
-    strict = instance if instance.is_strict else tie_break(instance, 0)
+    strict = tie_break(instance, 0)
     current, _ = sosm(strict)
     applied = []
     while True:
