@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .errors import InstanceTooLargeError
-from .model import Instance, Matching, UNASSIGNED, rank
+from .model import Instance, Matching, rank
 
 
 @dataclass(frozen=True)
@@ -29,27 +29,34 @@ def preference_index(instance: Instance, matching: Matching) -> int:
 
 
 def priority_violations(instance: Instance, matching: Matching) -> list[ViolationRecord]:
+    """Every (violator, victim, school) record, sorted by school, victim and
+    violator.  A school's cutoff is the worst priority among its holders;
+    only a victim who prefers the school and beats its cutoff is compared
+    with each holder."""
     records = []
-    pref_rank = instance.pref_rank
-    prio_rank = instance.prio_rank
-    for s in instance.schools:
-        holders = matching.students_at(s)
-        if not holders:
+    pref_rank, prio_rank = instance.pref_rank, instance.prio_rank
+    holders: dict[str, list[str]] = {}
+    for i, s in matching.pairs:
+        holders.setdefault(s, []).append(i)
+    held = [s for s in instance.schools if s in holders]
+    if not held:
+        return records
+    assigned_of = matching.as_dict()
+    cutoff: dict[str, int] = {}
+    for victim in instance.students:
+        assigned = assigned_of[victim]
+        if held == [assigned]:   # her own school is the only one held
             continue
-        for victim in instance.students:
-            assigned = matching[victim]
-            if assigned == s:
-                continue
-            own = (
-                pref_rank[victim][assigned]
-                if assigned is not UNASSIGNED
-                else len(instance.prefs[victim].classes) + 1
-            )
-            if pref_rank[victim][s] >= own:
-                continue
-            for violator in holders:
-                if prio_rank[s][victim] < prio_rank[s][violator]:
-                    records.append(ViolationRecord(violator, victim, s))
+        own, ranks = rank(instance.prefs[victim], assigned), pref_rank[victim]
+        for s in held:
+            if ranks[s] < own:
+                prio = prio_rank[s]
+                if s not in cutoff:
+                    cutoff[s] = max(map(prio.__getitem__, holders[s]))
+                if prio[victim] < cutoff[s]:
+                    for h in holders[s]:
+                        if prio[victim] < prio[h]:
+                            records.append(ViolationRecord(h, victim, s))
     records.sort(
         key=lambda r: (
             instance.school_index[r.school],

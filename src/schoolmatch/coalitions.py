@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 
 from .errors import InstanceTooLargeError
 from .mechanisms import eadam, sosm
-from .model import Instance, Matching, WeakOrder
+from .model import Instance, Matching, WeakOrder, rank
 from . import trading
 
 
@@ -46,13 +46,6 @@ class Coalition:
         )
 
 
-def _pref_rank(instance: Instance, student: str, school) -> int:
-    """Rank in the student's own profile; UNASSIGNED ranks below all."""
-    if school is None:
-        return len(instance.prefs[student].classes) + 1
-    return instance.pref_rank[student][school]
-
-
 def _loop_links(loops: Iterable[tuple[str, ...]]):
     """Yield (member, predecessor, successor) triples over all loops."""
     for loop in loops:
@@ -69,8 +62,8 @@ def _check_loops(instance: Instance, baseline: Matching, loops) -> None:
                 raise ValueError(f"student {member} appears in two cabal loops")
             seen.add(member)
     for member, pred, _ in _loop_links(loops):
-        if _pref_rank(instance, member, baseline[pred]) >= \
-                _pref_rank(instance, member, baseline[member]):
+        if rank(instance.prefs[member], baseline[pred]) >= \
+                rank(instance.prefs[member], baseline[member]):
             raise ValueError(
                 f"invalid cabal loop: {member} does not strictly prefer "
                 f"{pred}'s baseline school"
@@ -98,7 +91,7 @@ def accomplice_set(
             if member == i or school is None:
                 continue
             if (
-                _pref_rank(instance, i, school) < _pref_rank(instance, i, baseline[i])
+                rank(instance.prefs[i], school) < rank(instance.prefs[i], baseline[i])
                 and prio_rank[school][i] < prio_rank[school][successor]
             ):
                 moved.add(school)
@@ -295,7 +288,7 @@ def _displaced_for(
             if member == i or school is None:
                 continue
             if (
-                _pref_rank(instance, i, school) < _pref_rank(instance, i, baseline[i])
+                rank(instance.prefs[i], school) < rank(instance.prefs[i], baseline[i])
                 and prio_rank[school][i] < prio_rank[school][successor]
             ):
                 moved.add(school)

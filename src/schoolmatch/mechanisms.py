@@ -167,9 +167,13 @@ def eadam(instance: Instance, consenters: Iterable[str]) -> EadamResult:
     interrupter is rejected from its interrupted school, and removes
     exactly the interrupted school(s) of that step's consenting pairs from
     those students' lists.  Stops when no consenting pair remains.
+    Raises ``ValueError`` if a consenter is not a student of the instance.
     """
     _require_strict(instance)
     consent = frozenset(consenters)
+    unknown = sorted(consent.difference(instance.students))
+    if unknown:
+        raise ValueError(f"consenters are not students of the instance: {unknown}")
     current = instance
     removals: list[tuple[InterrupterPair, ...]] = []
     traces: list[DaTrace] = []
@@ -190,11 +194,21 @@ def eadam(instance: Instance, consenters: Iterable[str]) -> EadamResult:
 def ttc(instance: Instance) -> Matching:
     """Top trading cycles with multi-seat schools.
 
-    Each round every unassigned student points to her best school with a
-    free seat and every such school points to its highest-priority
-    unassigned student; all (vertex-disjoint) cycles are resolved at once.
-    Schools never reopen and students only leave, so the pointers into each
-    preference list and priority order only move forward over a run.
+    Every remaining student points to her best school with a free seat and
+    every such school to its highest-priority remaining student.  One walk
+    follows these pointers from each remaining student in turn, keeping its
+    path on a stack.  When the walk meets itself, that cycle trades, and
+    the walk resumes from the student beneath it, whose edge went stale;
+    a student with no open school left is popped and leaves unassigned.
+
+    This clears the same cycles as resolving all cycles round by round.
+    Each school points to one student, so cycles are vertex-disjoint, and
+    clearing one cycle neither fills another cycle's schools nor removes
+    its students: a cycle stays a cycle until it trades, and the order in
+    which cycles clear does not change the outcome.  Schools never reopen
+    and students only leave, so the pointers into each preference list and
+    priority order only move forward: O(n*m) pointer work and O(n) walk
+    steps over a run.
     """
     _require_strict(instance)
     pref_lists = instance.strict_pref_lists
@@ -203,54 +217,37 @@ def ttc(instance: Instance) -> Matching:
     student_at = dict.fromkeys(instance.students, 0)
     school_at = dict.fromkeys(instance.schools, 0)
     gone: set[str] = set()   # assigned, or no open school left on the list
-    unassigned = list(instance.students)
     assignment: dict[str, Optional[str]] = {i: UNASSIGNED for i in instance.students}
 
-    while True:
-        student_pt: dict[str, str] = {}
-        for i in unassigned:
+    for start in instance.students:
+        if start in gone:
+            continue
+        stack, depth = [start], {start: 0}   # depth: position on the stack
+        while stack:
+            i = stack[-1]
             prefs, k = pref_lists[i], student_at[i]
             while k < len(prefs) and not seats[prefs[k]]:
                 k += 1
             student_at[i] = k
-            if k < len(prefs):
-                student_pt[i] = prefs[k]
-            else:  # i stays unassigned: schools never reopen
+            if k == len(prefs):   # i stays unassigned: schools never reopen
                 gone.add(i)
-        if not student_pt:
-            return Matching.of(assignment, instance)
-        school_pt: dict[str, str] = {}
-        for s in dict.fromkeys(student_pt.values()):
+                del depth[stack.pop()]
+                continue
+            s = prefs[k]
             prio, k = prio_lists[s], school_at[s]
             while prio[k] in gone:
                 k += 1
-            school_at[s], school_pt[s] = k, prio[k]
-
-        in_cycle = _functional_cycles(student_pt, school_pt)
-        for i in in_cycle:
-            s = student_pt[i]
-            assignment[i] = s
-            seats[s] -= 1
-        gone |= in_cycle
-        unassigned = [i for i in student_pt if i not in in_cycle]
-
-
-def _functional_cycles(student_pt: dict[str, str], school_pt: dict[str, str]) -> set[str]:
-    """Students lying on a cycle of the student->school->student pointer graph."""
-    succ = {i: school_pt[s] for i, s in student_pt.items()}
-    on_cycle: set[str] = set()
-    state: dict[str, int] = {}  # 1 = on current walk, 2 = finished
-    for start in student_pt:
-        if state.get(start):
-            continue
-        path = []
-        node = start
-        while state.get(node) is None:
-            state[node] = 1
-            path.append(node)
-            node = succ[node]
-        if state[node] == 1:  # closed a new cycle at `node`
-            on_cycle.update(path[path.index(node):])
-        for v in path:
-            state[v] = 2
-    return on_cycle
+            school_at[s], j = k, prio[k]
+            if j not in depth:
+                depth[j] = len(stack)
+                stack.append(j)
+                continue
+            cycle = stack[depth[j]:]   # j -> ... -> i -> j trades
+            del stack[depth[j]:]
+            for x in cycle:
+                s = pref_lists[x][student_at[x]]
+                assignment[x] = s
+                seats[s] -= 1
+                gone.add(x)
+                del depth[x]
+    return Matching.of(assignment, instance)

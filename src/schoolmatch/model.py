@@ -51,11 +51,9 @@ class WeakOrder:
 
     @cached_property
     def rank_map(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for j, cl in enumerate(self.classes, start=1):
-            for x in cl:
-                out[x] = j
-        return out
+        if self.is_strict:
+            return dict(zip(self._items, range(1, len(self._items) + 1)))
+        return {x: j for j, cl in enumerate(self.classes, start=1) for x in cl}
 
     def items(self) -> tuple[str, ...]:
         return self._items
@@ -216,6 +214,9 @@ def validate(instance: Instance) -> list[str]:
 
 
 def _partition_problems(order: WeakOrder, universe: set[str], where: str, kind: str) -> list[str]:
+    items = order.items()
+    if len(items) == len(universe) and set(items) == universe and all(order.classes):
+        return []
     problems = []
     seen: set[str] = set()
     for cl in order.classes:

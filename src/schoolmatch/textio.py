@@ -20,13 +20,14 @@ from .model import Instance, Matching, UNASSIGNED, WeakOrder, validate
 
 
 def _parse_order(text: str, lineno: int) -> WeakOrder:
-    classes: list[tuple[str, ...]] = []
-    for chunk in text.split(">"):
-        members = [x.strip() for x in chunk.split("=")]
-        if "" in members:
-            raise ParseError("empty id in ranking", lineno)
-        classes.append(tuple(members))
-    return WeakOrder(tuple(classes))
+    chunks = text.split(">")
+    if "=" in text:
+        order = WeakOrder(tuple(tuple(map(str.strip, c.split("="))) for c in chunks))
+    else:   # zip over one iterable yields the 1-tuples of a strict order
+        order = WeakOrder(tuple(zip(map(str.strip, chunks))))
+    if "" in order.items():
+        raise ParseError("empty id in ranking", lineno)
+    return order
 
 
 def parse_instance(text: str) -> Instance:

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -13,8 +14,10 @@ from schoolmatch import (
     sosm,
     ttc,
 )
+from schoolmatch.analysis import ViolationRecord
 from schoolmatch.errors import InstanceTooLargeError
-from schoolmatch.model import Instance, WeakOrder
+from schoolmatch.mechanisms import eadam
+from schoolmatch.model import UNASSIGNED, Instance, WeakOrder, tie_break
 from schoolmatch.strategy import random_strict_instance
 from schoolmatch import oracle, trading
 
@@ -26,7 +29,6 @@ def m_of(d, inst):
 def test_preference_index_fixtures(scp2, scp3):
     sosm2, _ = sosm(scp2)
     assert preference_index(scp2, sosm2) == 10
-    from schoolmatch.mechanisms import eadam
     assert preference_index(scp3, eadam(scp3, scp3.students).matching) == 3
 
 
@@ -145,3 +147,77 @@ def test_two_stable_matchings_same_index():
     indices = sorted(preference_index(inst, m) for m in stable)
     assert len(stable) == 4
     assert indices == [0, 2, 2, 4]
+
+
+def reference_priority_violations(instance, matching):
+    """Every school, every student and every holder, as written before the
+    school cutoffs: O(m * n * capacity)."""
+    records = []
+    pref_rank, prio_rank = instance.pref_rank, instance.prio_rank
+    for s in instance.schools:
+        holders = matching.students_at(s)
+        if not holders:
+            continue
+        for victim in instance.students:
+            assigned = matching[victim]
+            if assigned == s:
+                continue
+            own = (pref_rank[victim][assigned] if assigned is not UNASSIGNED
+                   else len(instance.prefs[victim].classes) + 1)
+            if pref_rank[victim][s] >= own:
+                continue
+            for violator in holders:
+                if prio_rank[s][victim] < prio_rank[s][violator]:
+                    records.append(ViolationRecord(violator, victim, s))
+    records.sort(key=lambda r: (instance.school_index[r.school],
+                                instance.student_index[r.victim],
+                                instance.student_index[r.violator]))
+    return records
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def _weak_order(rng, items):
+    order = rng.sample(items, len(items))
+    cuts = sorted(rng.sample(range(1, len(order)), min(rng.randint(0, 2), len(order) - 1)))
+    return WeakOrder.of(order[a:b] for a, b in zip([0] + cuts, cuts + [len(order)]))
+
+
+def test_priority_violations_match_reference():
+    """Weak preferences and priorities, lists truncated in a third of the
+    instances, capacities 1-3; the DA, TTC and EADAM matchings of a lottery
+    tie-break and one random feasible matching, judged against both the
+    weak and the tie-broken instance."""
+    rng = random.Random(44)
+    outcomes = collections.Counter()
+    for _ in range(2000):
+        n, m = rng.randint(1, 8), rng.randint(1, 5)
+        students = tuple(f"i{k}" for k in range(1, n + 1))
+        schools = tuple(f"s{k}" for k in range(1, m + 1))
+        truncate = rng.random() < 0.3
+        prefs = {}
+        for i in students:
+            order = _weak_order(rng, schools)
+            if truncate and rng.random() < 0.5:
+                order = WeakOrder(order.classes[: rng.randint(0, len(order.classes) - 1)])
+            prefs[i] = order
+        prios = {s: _weak_order(rng, students) for s in schools}
+        capacity = {s: rng.randint(1, 3) for s in schools}
+        inst = Instance(students, schools, capacity, prefs, prios)
+        strict = tie_break(inst, rng.randint(0, 4))
+        seats = [s for s in schools for _ in range(capacity[s])] + [None] * n
+        rng.shuffle(seats)
+        consent = [i for i in students if rng.random() < 0.8]
+        for matching in (sosm(strict)[0], ttc(strict), eadam(strict, consent).matching,
+                         Matching.of(dict(zip(students, seats)), inst)):
+            for judged in (inst, strict):
+                expected = _outcome(reference_priority_violations, judged, matching)
+                assert _outcome(priority_violations, judged, matching) == expected
+                outcomes[expected if isinstance(expected, type) else bool(expected)] += 1
+    assert outcomes.keys() == {True, False, KeyError}
+    assert outcomes[True] > 1500 and outcomes[KeyError] > 2500

@@ -1,8 +1,10 @@
 import random
 
+import pytest
+
 from schoolmatch import Matching, is_stable, preference_index, sosm, ttc
 from schoolmatch.mechanisms import (
-    DaStep, DaTrace, EadamResult, _functional_cycles, eadam, hopeless_students, interrupters,
+    DaStep, DaTrace, EadamResult, eadam, hopeless_students, interrupters,
 )
 from schoolmatch.model import UNASSIGNED, WeakOrder, Instance, tie_break
 from schoolmatch.strategy import random_strict_instance
@@ -86,6 +88,11 @@ def test_eadam_weakly_dominates_sosm():
                 inst.pref_rank[i].get(base[i], 99)
 
 
+def test_eadam_rejects_unknown_consenters(scp3):
+    with pytest.raises(ValueError, match=r"\['ghost', 'nobody'\]"):
+        eadam(scp3, ("i1", "nobody", "ghost"))
+
+
 def test_hopeless_students(scp1, scp2):
     assert hopeless_students(sosm(scp1)[1]) == {"i3"}
     assert hopeless_students(sosm(scp2)[1]) == {"i5"}
@@ -158,8 +165,9 @@ def test_ttc_keeps_placing_after_a_list_runs_out():
 
 
 # Reference implementations: deferred acceptance that rescans every student
-# at every step, TTC that rescans every list and takes a minimum over all
-# pointing students at every round, and EADAM on top of the former.
+# at every step, TTC that rescans every list, takes a minimum over all
+# pointing students and resolves all cycles at every round, and EADAM on
+# top of the former.
 
 def rescanning_sosm(inst):
     lists, prio = inst.strict_pref_lists, inst.prio_rank
@@ -210,6 +218,27 @@ def rescanning_ttc(inst):
         unassigned = [i for i in student_pt if i not in in_cycle]
 
 
+def _functional_cycles(student_pt, school_pt):
+    """Students lying on a cycle of the student->school->student pointer graph."""
+    succ = {i: school_pt[s] for i, s in student_pt.items()}
+    on_cycle = set()
+    state = {}  # 1 = on current walk, 2 = finished
+    for start in student_pt:
+        if state.get(start):
+            continue
+        path = []
+        node = start
+        while state.get(node) is None:
+            state[node] = 1
+            path.append(node)
+            node = succ[node]
+        if state[node] == 1:  # closed a new cycle at `node`
+            on_cycle.update(path[path.index(node):])
+        for v in path:
+            state[v] = 2
+    return on_cycle
+
+
 def rescanning_eadam(inst, consent):
     removals, traces = [], []
     while True:
@@ -224,11 +253,11 @@ def rescanning_eadam(inst, consent):
             {p.student: inst.prefs[p.student].without(p.school) for p in removals[-1]})
 
 
-def coarse_instance(rng):
+def coarse_instance(rng, students=(2, 10), schools=(1, 6), max_capacity=3):
     """Strict preferences, a quarter of them truncated (some to nothing);
-    capacities 1-3, often fewer seats than students; priorities in one to
-    three classes, broken by a lottery seed 0-4."""
-    n, m = rng.randint(2, 10), rng.randint(1, 6)
+    capacities 1 to ``max_capacity``, often fewer seats than students;
+    priorities in one to three classes, broken by a lottery seed 0-4."""
+    n, m = rng.randint(*students), rng.randint(*schools)
     students = tuple(f"i{k}" for k in range(1, n + 1))
     schools = tuple(f"s{k}" for k in range(1, m + 1))
     prefs = {}
@@ -242,7 +271,7 @@ def coarse_instance(rng):
         order = rng.sample(students, n)
         cuts = sorted(rng.sample(range(1, n), min(rng.randint(0, 2), n - 1)))
         prios[s] = WeakOrder.of(order[a:b] for a, b in zip([0] + cuts, cuts + [n]))
-    capacity = {s: rng.randint(1, 3) for s in schools}
+    capacity = {s: rng.randint(1, max_capacity) for s in schools}
     return tie_break(Instance(students, schools, capacity, prefs, prios), rng.randint(0, 4))
 
 
@@ -256,6 +285,8 @@ def test_pointer_loops_match_rescanning_references():
     )
     rng = random.Random(36)
     instances = [list_runs_out] + [coarse_instance(rng) for _ in range(2500)]
+    wide = random.Random(37)   # 10-60 schools: TTC walks of 10-20 students
+    instances += [coarse_instance(wide, (50, 200), (10, 60), 25) for _ in range(20)]
     short = truncated = removed = 0
     for inst in instances:
         assert sosm(inst) == rescanning_sosm(inst)
