@@ -34,6 +34,19 @@ def _matching_str(matching: Matching) -> str:
     )
 
 
+def _matching_report(instance: Instance, matching: Matching) -> dict:
+    violations = analysis.priority_violations(instance, matching)
+    return {
+        "matching": _matching_dict(matching),
+        "preference_index": analysis.preference_index(instance, matching),
+        "stable": not violations and not analysis.below_free_seat(instance, matching),
+        "violations": [
+            {"violator": v.violator, "victim": v.victim, "school": v.school}
+            for v in violations
+        ],
+    }
+
+
 def _emit(report: dict, fmt: str, out) -> None:
     if fmt == "json-like":
         json.dump(report, out, indent=2, default=str)
@@ -74,8 +87,11 @@ def _parse_policy(text: str) -> "str | int":
     if text == "canonical":
         return "canonical"
     if text.startswith("seed:"):
-        return int(text[len("seed:"):])
-    raise argparse.ArgumentTypeError("policy must be 'canonical' or 'seed:N'")
+        try:
+            return int(text[len("seed:"):])
+        except ValueError:
+            pass
+    raise SchoolMatchError(f"--policy must be 'canonical' or 'seed:N', not {text!r}")
 
 
 def _load_coalition(path: str, instance: Instance) -> coalitions.Coalition:
@@ -97,8 +113,8 @@ def _load_coalition(path: str, instance: Instance) -> coalitions.Coalition:
 
 def _cmd_solve(args, out) -> int:
     instance = _load_instance(args.file)
+    policy = _parse_policy(args.policy)
     strict = tie_break(instance, args.tiebreak)
-    report: dict = {"mechanism": args.mechanism}
     extra: dict = {}
 
     if args.mechanism == "da":
@@ -114,7 +130,7 @@ def _cmd_solve(args, out) -> int:
         ]
         extra["rounds"] = len(result.traces)
     elif args.mechanism == "tadam":
-        result = trading.tadam_run(instance, _parse_policy(args.policy))
+        result = trading.tadam_run(instance, policy)
         matching = result.matching
         extra["baseline"] = _matching_dict(result.baseline)
         extra["cliques"] = [" -> ".join(c.cycle) for c in result.applied]
@@ -137,19 +153,7 @@ def _cmd_solve(args, out) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise SchoolMatchError(f"unknown mechanism {args.mechanism}")
 
-    violations = analysis.priority_violations(instance, matching)
-    report.update(
-        {
-            "matching": _matching_dict(matching),
-            "preference_index": analysis.preference_index(instance, matching),
-            "stable": not violations and not analysis.below_free_seat(instance, matching),
-            "violations": [
-                {"violator": v.violator, "victim": v.victim, "school": v.school}
-                for v in violations
-            ],
-        }
-    )
-    report.update(extra)
+    report = {"mechanism": args.mechanism, **_matching_report(instance, matching), **extra}
     _emit(report, args.format, out)
     return 0
 
@@ -255,13 +259,7 @@ def _cmd_analyze(args, out) -> int:
     strict = tie_break(instance, args.tiebreak)
     baseline, _ = sosm(strict)
     report = {
-        "matching": _matching_dict(matching),
-        "preference_index": analysis.preference_index(instance, matching),
-        "stable": analysis.is_stable(instance, matching),
-        "violations": [
-            {"violator": v.violator, "victim": v.victim, "school": v.school}
-            for v in analysis.priority_violations(instance, matching)
-        ],
+        **_matching_report(instance, matching),
         "dominates_baseline": analysis.dominates(instance, matching, baseline),
         "dominated_by_baseline": analysis.dominates(instance, baseline, matching),
         "efficient": analysis.is_efficient(instance, matching),
@@ -288,8 +286,8 @@ def _cmd_graph(args, out) -> int:
 def _parse_family(spec: str) -> strategy.RandomProblemFamily:
     """SPEC is CLASSESxPER[xCAPACITY], e.g. 2x3 or 2x2x2."""
     parts = spec.split("x")
-    if len(parts) not in (2, 3) or not all(p.isdigit() for p in parts):
-        raise argparse.ArgumentTypeError("family spec must look like 2x3 or 2x2x2")
+    if len(parts) not in (2, 3) or not all(p.isdecimal() and int(p) > 0 for p in parts):
+        raise SchoolMatchError(f"--family must be positive counts like 2x3 or 2x2x2, not {spec!r}")
     n_classes, per = int(parts[0]), int(parts[1])
     cap = int(parts[2]) if len(parts) == 3 else 1
     schools = [f"s{k}" for k in range(1, n_classes * per + 1)]
@@ -322,6 +320,8 @@ def _cmd_strategy(args, out) -> int:
         family = _parse_family(args.family or "2x2")
         truth = family.truth
         schools = truth.strict_sequence()
+        if len(schools) < 2:
+            raise SchoolMatchError("--family needs two schools to swap for the dominance check")
         alt = strategy.swap_in_profile(truth, schools[0], schools[1])
         report_obj = strategy.dominance_trial(
             mechs["tadam"], family, truth, alt, args.trials, args.seed
@@ -463,7 +463,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # Reader gone (`| head`): drop the rest so the exit flush cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (SchoolMatchError, OSError, UnicodeDecodeError) as exc:  # also unreadable files
+    except (SchoolMatchError, OSError, ValueError) as exc:  # also arguments a library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

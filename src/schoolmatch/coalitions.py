@@ -58,6 +58,8 @@ def _check_loops(instance: Instance, baseline: Matching, loops) -> None:
     seen: set[str] = set()
     for loop in loops:
         for member in loop:
+            if member not in instance.student_index:
+                raise ValueError(f"cabal loop names unknown student {member!r}")
             if member in seen:
                 raise ValueError(f"student {member} appears in two cabal loops")
             seen.add(member)
@@ -79,26 +81,30 @@ def accomplice_set(
     her own while that school ranks her above the member's loop successor.
     """
     _check_loops(instance, baseline, loops)
-    cabal_links = list(_loop_links(loops))
-    prio_rank = instance.prio_rank
-
-    accomplices: list[str] = []
+    links = list(_loop_links(loops))
     displaced: dict[str, frozenset[str]] = {}
     for i in instance.students:
-        moved: set[str] = set()
-        for member, _, successor in cabal_links:
-            school = baseline[member]
-            if member == i or school is None:
-                continue
-            if (
-                rank(instance.prefs[i], school) < rank(instance.prefs[i], baseline[i])
-                and prio_rank[school][i] < prio_rank[school][successor]
-            ):
-                moved.add(school)
+        moved = _displaced(instance, baseline, links, i)
         if moved:
-            accomplices.append(i)
-            displaced[i] = frozenset(moved)
-    return tuple(accomplices), displaced
+            displaced[i] = moved
+    return tuple(displaced), displaced
+
+
+def _displaced(instance: Instance, baseline: Matching, links, i: str) -> frozenset[str]:
+    """Baseline schools of cabal members that student ``i`` ranks above
+    her own while the school ranks her above the member's loop successor."""
+    prio_rank = instance.prio_rank
+    moved: set[str] = set()
+    for member, _, successor in links:
+        school = baseline[member]
+        if member == i or school is None:
+            continue
+        if (
+            rank(instance.prefs[i], school) < rank(instance.prefs[i], baseline[i])
+            and prio_rank[school][i] < prio_rank[school][successor]
+        ):
+            moved.add(school)
+    return frozenset(moved)
 
 
 def falsified_profile(
@@ -242,55 +248,13 @@ def eadam_as_coalition(instance: Instance, consenters: Iterable[str]) -> Coaliti
     result = eadam(instance, consenters)
     target = result.matching
 
-    moved = [i for i in instance.students if target[i] != baseline[i]]
-    givers: dict = {}
-    for i in moved:
-        givers.setdefault(baseline[i], []).append(i)
-    pred = {}  # i receives pred[i]'s baseline seat
-    for i in moved:
-        pred[i] = givers[target[i]].pop()
-
-    loops: list[tuple[str, ...]] = []
-    placed: set[str] = set()
-    for start in moved:
-        if start in placed:
-            continue
-        # Walk predecessors so the tuple reads "receives from previous".
-        loop = [start]
-        node = pred[start]
-        while node != start:
-            loop.insert(0, node)
-            node = pred[node]
-        placed.update(loop)
-        loops.append(tuple(loop))
-
+    # Seat cycles read "receives the next one's seat"; loops read
+    # "receives from the previous member", i.e. reversed.
+    loops = tuple(tuple(reversed(c)) for c in trading.seat_cycles(baseline, target))
     accomplices = tuple(
         i for i in instance.students
         if any(p.student == i for rnd in result.removals for p in rnd)
     )
-    displaced = _displaced_for(instance, baseline, tuple(loops), accomplices)
-    return Coalition(tuple(loops), accomplices, displaced)
-
-
-def _displaced_for(
-    instance: Instance,
-    baseline: Matching,
-    loops: tuple[tuple[str, ...], ...],
-    accomplices: tuple[str, ...],
-) -> dict[str, frozenset[str]]:
-    prio_rank = instance.prio_rank
     links = list(_loop_links(loops))
-    displaced: dict[str, frozenset[str]] = {}
-    for i in accomplices:
-        moved: set[str] = set()
-        for member, _, successor in links:
-            school = baseline[member]
-            if member == i or school is None:
-                continue
-            if (
-                rank(instance.prefs[i], school) < rank(instance.prefs[i], baseline[i])
-                and prio_rank[school][i] < prio_rank[school][successor]
-            ):
-                moved.add(school)
-        displaced[i] = frozenset(moved)
-    return displaced
+    displaced = {i: _displaced(instance, baseline, links, i) for i in accomplices}
+    return Coalition(loops, accomplices, displaced)

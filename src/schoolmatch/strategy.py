@@ -219,34 +219,22 @@ def check_positive_association(
 def same_class_cliques(instance: Instance, partition: QualityPartition) -> bool:
     """Every trading clique reachable from the deferred-acceptance baseline
     trades seats within one quality class, and every terminal assignment
-    stays in the class of the baseline assignment."""
+    stays in the class of the baseline assignment (within the default
+    ``max_visited`` of :func:`trading.reachable`)."""
     for i in instance.students:
         if not partition.respects(instance.prefs[i]):
             raise PreconditionError(f"profile of {i} ignores the quality classes")
 
     baseline, _ = sosm(instance)
-    seen = {baseline}
-    stack = [baseline]
-    while stack:
-        current = stack.pop()
-        graph = trading.prune(trading.build_graph(instance, current))
-        cliques = [
-            c for c in trading.find_cliques(graph, instance)
-            if c.kind is trading.CliqueKind.TRADING
-        ]
-        if not cliques:
-            for i in instance.students:
-                if partition.class_of(current[i]) != partition.class_of(baseline[i]):
-                    return False
-            continue
+    for current, cliques in trading.reachable(instance, baseline, trading.CliqueKind.TRADING):
+        if not cliques and any(
+            partition.class_of(current[i]) != partition.class_of(baseline[i])
+            for i in instance.students
+        ):
+            return False
         for clique in cliques:
-            classes = {partition.class_of(current[i]) for i in clique.cycle}
-            if len(classes) != 1:
+            if len({partition.class_of(current[i]) for i in clique.cycle}) != 1:
                 return False
-            nxt = trading.apply_clique(instance, current, clique)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
     return True
 
 
@@ -296,6 +284,8 @@ def dominance_trial(
     every prefix; a deficit inside the three-sigma band downgrades to
     INCONCLUSIVE instead of FAILS.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     rng = random.Random(seed)
     student = family.fixed_student
     truth_counts: dict[Optional[str], int] = {}

@@ -1,14 +1,14 @@
 """Trading cycles over a matching: the directed weighted graph of a
 matching, trading/null clique detection, the clique-application mechanism
-run on top of the deferred-acceptance baseline, and exhaustive enumeration
-of all terminal dominating matchings."""
+run on top of the deferred-acceptance baseline, one walk over the
+matchings reachable by cliques, and seat permutations split into cycles."""
 
 from __future__ import annotations
 
 import enum
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import networkx as nx
 
@@ -17,6 +17,7 @@ from .mechanisms import sosm
 from .model import Instance, Matching, UNASSIGNED, tie_break
 
 DEFAULT_CYCLE_LIMIT = 10**6
+DEFAULT_MAX_VISITED = 100_000
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,8 @@ def find_cliques(
         if count > limit:
             cliques.sort(key=lambda c: c.cycle)
             raise CycleLimitExceededError(
-                f"more than {limit} cycles", partial=cliques
+                f"found more than {limit} cycles; raise cycle_limit to enumerate further",
+                partial=cliques,
             )
         canon = _canonical_cycle(cycle, order)
         edges = list(zip(canon, canon[1:] + canon[:1]))
@@ -252,6 +254,36 @@ def tadam_run(
         applied.append(pick)
 
 
+def reachable(
+    instance: Instance,
+    start: Matching,
+    kind: CliqueKind,
+    cycle_limit: int = DEFAULT_CYCLE_LIMIT,
+    max_visited: int = DEFAULT_MAX_VISITED,
+) -> Iterator[tuple[Matching, list[Clique]]]:
+    """Depth-first walk over the matchings reachable from ``start`` by
+    cliques of ``kind``: yields each once, with its cliques of that kind
+    in :func:`find_cliques` order; more than ``max_visited`` raises."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        current = stack.pop()
+        graph = prune(build_graph(instance, current))
+        cliques = [c for c in find_cliques(graph, instance, cycle_limit) if c.kind is kind]
+        yield current, cliques
+        for clique in cliques:
+            nxt = apply_clique(instance, current, clique)
+            if nxt not in seen:
+                if len(seen) >= max_visited:
+                    raise SearchLimitExceededError(
+                        f"reached more than {max_visited} matchings; "
+                        "raise max_visited to search further",
+                        partial=frozenset(seen),
+                    )
+                seen.add(nxt)
+                stack.append(nxt)
+
+
 @dataclass(frozen=True)
 class TadamEnumeration:
     terminals: frozenset[Matching]
@@ -262,71 +294,63 @@ class TadamEnumeration:
 
 def tadam_enumerate(
     instance: Instance,
-    max_visited: int = 100_000,
+    max_visited: int = DEFAULT_MAX_VISITED,
     cycle_limit: int = DEFAULT_CYCLE_LIMIT,
 ) -> TadamEnumeration:
     """All matchings reachable from the deferred-acceptance baseline by
-    trading-clique sequences that admit no further trading clique."""
-    strict = tie_break(instance, 0)
-    baseline, _ = sosm(strict)
-
+    trading-clique sequences that admit no further trading clique; past
+    ``max_visited`` the error carries the terminals found so far."""
+    baseline, _ = sosm(tie_break(instance, 0))
     terminals: set[Matching] = set()
-    seen = {baseline}
-    stack = [baseline]
-    while stack:
-        current = stack.pop()
-        graph = prune(build_graph(instance, current))
-        trading = [
-            c for c in find_cliques(graph, instance, cycle_limit)
-            if c.kind is CliqueKind.TRADING
-        ]
-        if not trading:
-            terminals.add(current)
-            continue
-        for clique in trading:
-            nxt = apply_clique(instance, current, clique)
-            if nxt not in seen:
-                if len(seen) >= max_visited:
-                    raise SearchLimitExceededError(
-                        f"visited more than {max_visited} matchings",
-                        partial=frozenset(terminals),
-                    )
-                seen.add(nxt)
-                stack.append(nxt)
-
-    classes = _null_classes(instance, terminals, cycle_limit)
-    return TadamEnumeration(frozenset(terminals), classes)
-
-
-def null_closure(
-    instance: Instance, matching: Matching, cycle_limit: int = DEFAULT_CYCLE_LIMIT
-) -> frozenset[Matching]:
-    """All matchings reachable via null cliques alone (includes the start)."""
-    seen = {matching}
-    stack = [matching]
-    while stack:
-        current = stack.pop()
-        graph = build_graph(instance, current)
-        for clique in find_cliques(graph, instance, cycle_limit):
-            if clique.kind is not CliqueKind.NULL:
-                continue
-            nxt = apply_clique(instance, current, clique)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(seen)
-
-
-def _null_classes(instance, terminals, cycle_limit) -> tuple[frozenset[Matching], ...]:
     classes: list[frozenset[Matching]] = []
-    placed: set[Matching] = set()
-    for terminal in sorted(terminals, key=lambda m: m.pairs):
-        if terminal in placed:
-            continue
-        closure = null_closure(instance, terminal, cycle_limit)
-        placed |= closure
-        classes.append(closure)
-    return tuple(classes)
+    try:
+        for current, cliques in reachable(
+            instance, baseline, CliqueKind.TRADING, cycle_limit, max_visited
+        ):
+            if not cliques:
+                terminals.add(current)
+        placed: set[Matching] = set()
+        for terminal in sorted(terminals, key=lambda m: m.pairs):
+            if terminal in placed:
+                continue
+            closure = frozenset(m for m, _ in reachable(
+                instance, terminal, CliqueKind.NULL, cycle_limit, max_visited
+            ))
+            placed |= closure
+            classes.append(closure)
+    except SearchLimitExceededError as exc:
+        exc.partial = frozenset(terminals)
+        raise
+    return TadamEnumeration(frozenset(terminals), tuple(classes))
+
+
+def seat_cycles(baseline: Matching, target: Matching) -> list[list[str]]:
+    """The students whose seat differs, as cycles in which each receives
+    the ``baseline`` seat of the next; seats of one school are
+    interchangeable, so each takes the last giver left at her school."""
+    moved = [i for i, seat in target.pairs if seat != baseline[i]]
+    givers: dict[Optional[str], list[str]] = {}
+    for i in moved:
+        givers.setdefault(baseline[i], []).append(i)
+    succ = {}
+    for i in moved:
+        pool = givers.get(target[i])
+        if not pool:
+            raise ValueError(
+                "target assigns a seat nobody gives up; "
+                "not realizable by seat trades"
+            )
+        succ[i] = pool.pop()
+
+    cycles: list[list[str]] = []
+    while succ:  # each cycle starts at its first student in matching order
+        cycle = [next(iter(succ))]
+        node = succ.pop(cycle[0])
+        while node != cycle[0]:
+            cycle.append(node)
+            node = succ.pop(node)
+        cycles.append(cycle)
+    return cycles
 
 
 def realize_domination(
@@ -345,33 +369,8 @@ def realize_domination(
     if not dominates(instance, target, baseline):
         return None
 
-    moved = [i for i in instance.students if target[i] != baseline[i]]
-    # Each moved student points to a giver of the seat she receives; seats
-    # of one school are interchangeable, so any per-school pairing works.
-    givers: dict = {}
-    for i in moved:
-        givers.setdefault(baseline[i], []).append(i)
-    succ = {}
-    for i in moved:
-        pool = givers.get(target[i])
-        if not pool:
-            raise ValueError(
-                "target assigns a seat nobody gives up; "
-                "not realizable by seat trades"
-            )
-        succ[i] = pool.pop()
-
     cliques: list[Clique] = []
-    placed: set[str] = set()
-    for start in moved:
-        if start in placed:
-            continue
-        cycle = [start]
-        node = succ[start]
-        while node != start:
-            cycle.append(node)
-            node = succ[node]
-        placed.update(cycle)
+    for cycle in seat_cycles(baseline, target):
         strict_edge = any(
             rank(instance.prefs[i], target[i]) < rank(instance.prefs[i], baseline[i])
             for i in cycle

@@ -168,6 +168,35 @@ def test_unreadable_file_is_one_line_error(tmp_path, capsys, argv):
     assert names["dir" if "{dir}" in argv else "missing"] in err
 
 
+COALITION_FILES = {
+    "unknown": "loop i1 ghost\n",   # names a student the instance lacks
+    "invalid": "loop i5 i1\n",      # i1 does not prefer i5's baseline school
+}
+
+
+# Each row is bad input that must give one error line; add a row per new check.
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mechanism", "tadam", "--policy", "bogus", fix("scp2")],
+    ["solve", "--mechanism", "tadam", "--policy", "seed:x", fix("scp2")],
+    ["strategy", "--check", "dominance", "--family", "bogus"],
+    ["strategy", "--check", "dominance", "--family", "2x0"],
+    ["strategy", "--check", "dominance", "--trials", "0"],
+    ["solve", "--mechanism", "cim", "--coalition", "{unknown}", fix("scp2")],
+    ["solve", "--mechanism", "cim", "--coalition", "{invalid}", fix("scp2")],
+    ["strategy", "--check", "dominance", "--family", "1x1"],
+])
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
+    names = {}
+    for name, text in COALITION_FILES.items():
+        names[name] = str(tmp_path / f"{name}.txt")
+        Path(names[name]).write_text(text)
+    code = main([a.format(**names) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_consent_student_rejected(capsys):
     code = main(["solve", "--mechanism", "eadam", "--consent", "i1,nobody", fix("scp3")])
     assert code == 1

@@ -6,10 +6,10 @@ example database, so every run checks the same instances.
 
 from hypothesis import given, settings, strategies as st
 
-from schoolmatch import oracle, textio
-from schoolmatch.analysis import dominates
-from schoolmatch.mechanisms import ttc
-from schoolmatch.model import UNASSIGNED, Instance, WeakOrder, tie_break
+from schoolmatch import oracle, textio, trading
+from schoolmatch.analysis import dominates, is_stable
+from schoolmatch.mechanisms import eadam, sosm, ttc
+from schoolmatch.model import UNASSIGNED, Instance, WeakOrder, rank, tie_break
 
 from test_mechanisms import rescanning_ttc
 
@@ -67,3 +67,33 @@ def test_tie_break_returns_strict_instance_itself(inst, lottery):
     strict = tie_break(inst, lottery)
     assert strict.is_strict
     assert tie_break(strict, lottery) is strict
+
+
+@fixed
+@given(instances(max_students=4), st.integers(0, 4))
+def test_da_is_stable_and_student_optimal(inst, lottery):
+    strict = tie_break(inst, lottery)
+    matching, _ = sosm(strict)
+    assert is_stable(strict, matching)
+    for other in oracle.stable_set(strict):
+        assert all(
+            rank(strict.prefs[i], matching[i]) <= rank(strict.prefs[i], other[i])
+            for i in strict.students
+        )
+
+
+@fixed
+@given(instances(max_students=4), st.integers(0, 4))
+def test_full_consent_eadam_dominates_da_and_is_efficient(inst, lottery):
+    strict = tie_break(inst, lottery)
+    da, _ = sosm(strict)
+    matching = eadam(strict, strict.students).matching
+    assert matching == da or dominates(strict, matching, da)
+    assert not any(dominates(strict, m, matching) for m in oracle.enumerate_matchings(strict))
+
+
+@fixed
+@given(instances(truncate=True), st.integers(0, 4))
+def test_canonical_tadam_is_an_enumerated_terminal(inst, lottery):
+    strict = tie_break(inst, lottery)
+    assert trading.tadam_run(strict).matching in trading.tadam_enumerate(strict).terminals

@@ -125,6 +125,14 @@ def test_dominance_trial_identity_reports():
     assert rep.truth_dist == rep.alt_dist
 
 
+def test_dominance_trial_needs_a_trial():
+    fam = strategy.two_class_family(2)
+    with pytest.raises(ValueError, match="trials"):
+        strategy.dominance_trial(
+            strategy.mechanism_by_name("da"), fam, fam.truth, fam.truth, 0, 7
+        )
+
+
 def test_dominance_trial_tadam_small():
     fam = strategy.two_class_family(2)
     alt = strategy.swap_in_profile(fam.truth, "s1", "s2")

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from schoolmatch import Matching, preference_index, sosm, ttc
-from schoolmatch import oracle, trading
-from schoolmatch.errors import CycleLimitExceededError
+from schoolmatch import oracle, textio, trading
+from schoolmatch.errors import CycleLimitExceededError, SearchLimitExceededError
 from schoolmatch.model import Instance, WeakOrder, tie_break
 from schoolmatch.strategy import random_strict_instance
 
@@ -228,6 +228,36 @@ def test_tadam_enumerate_acyclic():
         {"s1": WeakOrder.strict(["i1"])},
     )
     assert trading.tadam_enumerate(inst).terminals == frozenset({sosm(inst)[0]})
+
+
+# Weak preferences and a seat short: the walk pops one of the two
+# terminals before its fifth matching is reached.
+TWO_TERMINALS = """\
+students i1 i2 i3 i4 i5 i6
+schools s1 s2 s3 s4
+capacity s4 2
+pref i1: s1 = s2 = s3 = s4
+pref i2: s3 = s1 = s2 = s4
+pref i3: s2 = s1 = s3 > s4
+pref i4: s2 > s1 = s4 > s3
+pref i5: s4 > s1 > s3 > s2
+pref i6: s1 > s2 > s3 > s4
+prio s1: i4 > i2 > i3 > i6 > i1 > i5
+prio s2: i6 > i1 > i3 > i2 > i4 > i5
+prio s3: i4 > i1 > i5 > i3 > i2 > i6
+prio s4: i2 > i5 > i6 > i3 > i4 > i1
+"""
+
+
+def test_search_limits_name_their_knob_and_keep_partial(scp6):
+    inst = textio.parse_instance(TWO_TERMINALS)
+    full = trading.tadam_enumerate(inst).terminals
+    with pytest.raises(SearchLimitExceededError, match="max_visited") as err:
+        trading.tadam_enumerate(inst, max_visited=4)
+    assert err.value.partial and err.value.partial < full
+    with pytest.raises(CycleLimitExceededError, match="cycle_limit") as err:
+        trading.tadam_run(scp6, cycle_limit=0)
+    assert err.value.partial == []
 
 
 def test_realize_domination_scp3(scp3):
