@@ -227,13 +227,13 @@ def same_class_cliques(instance: Instance, partition: QualityPartition) -> bool:
 
     baseline, _ = sosm(instance)
     for current, cliques in trading.reachable(instance, baseline, trading.CliqueKind.TRADING):
-        if not cliques and any(
-            partition.class_of(current[i]) != partition.class_of(baseline[i])
-            for i in instance.students
-        ):
-            return False
+        if not cliques:
+            for i in instance.students:
+                if partition.class_of(current[i]) != partition.class_of(baseline[i]):
+                    return False
         for clique in cliques:
-            if len({partition.class_of(current[i]) for i in clique.cycle}) != 1:
+            classes = {partition.class_of(current[i]) for i in clique.cycle}
+            if len(classes) != 1:
                 return False
     return True
 

@@ -14,7 +14,7 @@ import networkx as nx
 
 from .errors import CycleLimitExceededError, SearchLimitExceededError
 from .mechanisms import sosm
-from .model import Instance, Matching, UNASSIGNED, tie_break
+from .model import Instance, Matching, UNASSIGNED, rank, tie_break
 
 DEFAULT_CYCLE_LIMIT = 10**6
 DEFAULT_MAX_VISITED = 100_000
@@ -269,7 +269,9 @@ def reachable(
     while stack:
         current = stack.pop()
         graph = prune(build_graph(instance, current))
-        cliques = [c for c in find_cliques(graph, instance, cycle_limit) if c.kind is kind]
+        cliques = [
+            c for c in find_cliques(graph, instance, cycle_limit) if c.kind is kind
+        ]
         yield current, cliques
         for clique in cliques:
             nxt = apply_clique(instance, current, clique)
@@ -360,7 +362,6 @@ def realize_domination(
     ``target``, trading cliques first; None if ``target`` does not
     dominate-or-equal the baseline."""
     from .analysis import dominates
-    from .model import rank
 
     strict = tie_break(instance, 0)
     baseline, _ = sosm(strict)
