@@ -8,14 +8,12 @@ instances, and a strategy lab for manipulation experiments.
 """
 
 from .model import (
-    Comparison,
     Instance,
     Matching,
     PreferenceProfile,
     PriorityStructure,
     UNASSIGNED,
     WeakOrder,
-    prefers,
     rank,
     tie_break,
     validate,
@@ -31,7 +29,6 @@ from .analysis import (
 )
 
 __all__ = [
-    "Comparison",
     "Instance",
     "Matching",
     "PreferenceProfile",
@@ -46,7 +43,6 @@ __all__ = [
     "is_reasonably_fair",
     "is_stable",
     "preference_index",
-    "prefers",
     "priority_violations",
     "rank",
     "sosm",

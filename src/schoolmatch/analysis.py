@@ -4,6 +4,7 @@ efficiency, and reasonable fairness."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import oracle
@@ -28,35 +29,37 @@ def preference_index(instance: Instance, matching: Matching) -> int:
     )
 
 
-def priority_violations(instance: Instance, matching: Matching) -> list[ViolationRecord]:
-    """Every (violator, victim, school) record, sorted by school, victim and
-    violator.  A school's cutoff is the worst priority among its holders;
-    only a victim who prefers the school and beats its cutoff is compared
-    with each holder."""
-    records = []
-    pref_rank, prio_rank = instance.pref_rank, instance.prio_rank
-    holders: dict[str, list[str]] = {}
+def _claims(instance: Instance, matching: Matching):
+    """Yield ``(student, school, holders)`` for each claim: a school the
+    student ranks above her seat that has a free seat or whose cutoff, the
+    worst priority among its ``holders``, she beats."""
+    prio_rank, capacity = instance.prio_rank, instance.capacity
+    holders: dict[str | None, list[str]] = {}
     for i, s in matching.pairs:
         holders.setdefault(s, []).append(i)
-    held = [s for s in instance.schools if s in holders]
-    if not held:
-        return records
-    assigned_of = matching.as_dict()
-    cutoff: dict[str, int] = {}
-    for victim in instance.students:
-        assigned = assigned_of[victim]
-        if held == [assigned]:   # her own school is the only one held
-            continue
-        own, ranks = rank(instance.prefs[victim], assigned), pref_rank[victim]
-        for s in held:
-            if ranks[s] < own:
-                prio = prio_rank[s]
-                if s not in cutoff:
-                    cutoff[s] = max(map(prio.__getitem__, holders[s]))
-                if prio[victim] < cutoff[s]:
-                    for h in holders[s]:
-                        if prio[victim] < prio[h]:
-                            records.append(ViolationRecord(h, victim, s))
+    cutoff = {}
+    for s in instance.schools:
+        held = holders.setdefault(s, [])
+        cutoff[s] = (max(map(prio_rank[s].__getitem__, held)) if len(held) >= capacity[s]
+                     else math.inf)   # every student clears a free seat
+    for i, seat in matching.pairs:
+        order = instance.prefs[i]
+        for cl in order.classes[: order.rank_map[seat] - 1]:
+            for s in cl:
+                if prio_rank[s][i] < cutoff[s]:
+                    yield i, s, holders[s]
+
+
+def priority_violations(instance: Instance, matching: Matching) -> list[ViolationRecord]:
+    """Every (violator, victim, school) record, sorted by school, victim and
+    violator: each claim against the holders the victim outranks."""
+    prio_rank = instance.prio_rank
+    records = [
+        ViolationRecord(h, victim, s)
+        for victim, s, held in _claims(instance, matching)
+        for h in held
+        if prio_rank[s][victim] < prio_rank[s][h]
+    ]
     records.sort(
         key=lambda r: (
             instance.school_index[r.school],
@@ -68,21 +71,16 @@ def priority_violations(instance: Instance, matching: Matching) -> list[Violatio
 
 
 def is_stable(instance: Instance, matching: Matching) -> bool:
-    """No priority violation and no student below a school with a free seat."""
-    return not priority_violations(instance, matching) and not below_free_seat(instance, matching)
+    """No student clears the cutoff of, or finds a free seat at, a school
+    she prefers to her own assignment."""
+    return next(_claims(instance, matching), None) is None
 
 
 def below_free_seat(instance: Instance, matching: Matching) -> bool:
     """True iff some student strictly prefers a school with a free seat to
     her own assignment."""
-    fill = matching.fill_counts()
-    free = [s for s in instance.schools if fill.get(s, 0) < instance.capacity[s]]
-    pref_rank = instance.pref_rank
-    for i in instance.students:
-        own = rank(instance.prefs[i], matching[i])
-        if any(pref_rank[i][s] < own for s in free):
-            return True
-    return False
+    capacity = instance.capacity
+    return any(len(held) < capacity[s] for _, s, held in _claims(instance, matching))
 
 
 def dominates(instance: Instance, a: Matching, b: Matching) -> bool:

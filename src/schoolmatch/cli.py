@@ -35,11 +35,12 @@ def _matching_str(matching: Matching) -> str:
 
 
 def _matching_report(instance: Instance, matching: Matching) -> dict:
-    violations = analysis.priority_violations(instance, matching)
+    stable = analysis.is_stable(instance, matching)
+    violations = [] if stable else analysis.priority_violations(instance, matching)
     return {
         "matching": _matching_dict(matching),
         "preference_index": analysis.preference_index(instance, matching),
-        "stable": not violations and not analysis.below_free_seat(instance, matching),
+        "stable": stable,
         "violations": [
             {"violator": v.violator, "victim": v.victim, "school": v.school}
             for v in violations

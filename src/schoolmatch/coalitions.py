@@ -193,7 +193,8 @@ def enumerate_coalitions(
     """
     if len(instance.students) > max_students:
         raise InstanceTooLargeError(
-            f"{len(instance.students)} students exceeds limit {max_students}"
+            f"{len(instance.students)} students exceed max_students={max_students}; "
+            "raise max_students to enumerate their coalitions"
         )
     baseline, _ = sosm(instance)
     graph = trading.build_graph(instance, baseline)

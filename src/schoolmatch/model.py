@@ -3,25 +3,28 @@
 Students and schools are identified by plain strings.  An unassigned
 student is represented by ``UNASSIGNED`` (``None``).  Preference profiles
 and priority structures share one representation, :class:`WeakOrder`: an
-ordered tuple of indifference classes, earlier classes preferred.
+ordered tuple of indifference classes, earlier classes preferred.  Its
+:attr:`WeakOrder.rank_map` is the one rank rule: listed classes, then
+``UNASSIGNED``, then anything not on the list.
 """
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional
 
 UNASSIGNED = None
 
 
-class Comparison(enum.Enum):
-    STRICT_BETTER = "strict_better"
-    TIED = "tied"
-    STRICT_WORSE = "strict_worse"
+class _RankTable(dict):
+    """Class index by item; an item off the list ranks just below
+    ``UNASSIGNED``, which ranks just below the last class."""
+
+    def __missing__(self, item):
+        return self[UNASSIGNED] + 1
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,17 @@ class WeakOrder:
         return cls(tuple(tuple(c) for c in classes))
 
     @cached_property
-    def rank_map(self) -> dict[str, int]:
+    def rank_map(self) -> dict[Optional[str], int]:
+        # UNASSIGNED goes in first: a late non-str key would re-table the
+        # dict at three times its size.
+        n = len(self.classes)
+        ranks = _RankTable({UNASSIGNED: n + 1})
         if self.is_strict:
-            return dict(zip(self._items, range(1, len(self._items) + 1)))
-        return {x: j for j, cl in enumerate(self.classes, start=1) for x in cl}
+            ranks.update(zip(self._items, range(1, n + 1)))
+        else:
+            for j, cl in enumerate(self.classes, start=1):
+                ranks.update(zip(cl, repeat(j)))
+        return ranks
 
     def items(self) -> tuple[str, ...]:
         return self._items
@@ -79,23 +89,9 @@ PriorityStructure = WeakOrder
 
 
 def rank(profile: WeakOrder, item: Optional[str]) -> int:
-    """Class index of ``item`` (1 = top); UNASSIGNED ranks just below all."""
-    if item is UNASSIGNED:
-        return len(profile.classes) + 1
-    try:
-        return profile.rank_map[item]
-    except KeyError:
-        raise KeyError(f"unknown id {item!r}") from None
-
-
-def prefers(profile: WeakOrder, a: Optional[str], b: Optional[str]) -> Comparison:
-    """Three-way comparison of ``a`` against ``b`` under ``profile``."""
-    ra, rb = rank(profile, a), rank(profile, b)
-    if ra < rb:
-        return Comparison.STRICT_BETTER
-    if ra > rb:
-        return Comparison.STRICT_WORSE
-    return Comparison.TIED
+    """Class index of ``item`` (1 = top); UNASSIGNED ranks just below all
+    classes and an item off the list just below UNASSIGNED."""
+    return profile.rank_map[item]
 
 
 @dataclass
@@ -130,11 +126,11 @@ class Instance:
         return self.has_strict_prefs and all(p.is_strict for p in self.prios.values())
 
     @cached_property
-    def pref_rank(self) -> dict[str, dict[str, int]]:
+    def pref_rank(self) -> dict[str, dict[Optional[str], int]]:
         return {i: self.prefs[i].rank_map for i in self.students}
 
     @cached_property
-    def prio_rank(self) -> dict[str, dict[str, int]]:
+    def prio_rank(self) -> dict[str, dict[Optional[str], int]]:
         return {s: self.prios[s].rank_map for s in self.schools}
 
     @cached_property

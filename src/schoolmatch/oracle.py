@@ -21,13 +21,16 @@ def check_bound(instance: Instance, bound: OracleBound = OracleBound()) -> None:
     n = len(instance.students)
     if n > bound.max_students:
         raise InstanceTooLargeError(
-            f"{n} students exceeds oracle bound of {bound.max_students}"
+            f"{n} students exceed OracleBound.max_students={bound.max_students}; "
+            "raise max_students to enumerate them"
         )
     # (|S|+1)^n over-counts (ignores capacities) but is a safe ceiling.
-    if (len(instance.schools) + 1) ** n > bound.max_total_matchings:
+    ceiling = (len(instance.schools) + 1) ** n
+    if ceiling > bound.max_total_matchings:
         raise InstanceTooLargeError(
-            "matching-space ceiling exceeds oracle bound "
-            f"of {bound.max_total_matchings}"
+            f"matching-space ceiling {ceiling} exceeds "
+            f"OracleBound.max_total_matchings={bound.max_total_matchings}; "
+            "raise max_total_matchings to enumerate it"
         )
 
 

@@ -75,7 +75,11 @@ class QualityPartition:
     def schools(self) -> tuple[str, ...]:
         return tuple(s for cl in self.classes for s in cl)
 
-    def class_of(self, school: str) -> int:
+    def class_of(self, school: Optional[str]) -> int:
+        """Index of the school's class; UNASSIGNED is a class of its own,
+        after the last."""
+        if school is UNASSIGNED:
+            return len(self.classes)
         for k, cl in enumerate(self.classes):
             if school in cl:
                 return k

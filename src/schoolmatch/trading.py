@@ -10,11 +10,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-import networkx as nx
-
 from .errors import CycleLimitExceededError, SearchLimitExceededError
 from .mechanisms import sosm
-from .model import Instance, Matching, UNASSIGNED, rank, tie_break
+from .model import Instance, Matching, rank, tie_break
 
 DEFAULT_CYCLE_LIMIT = 10**6
 DEFAULT_MAX_VISITED = 100_000
@@ -42,21 +40,12 @@ class Clique:
     kind: CliqueKind
 
 
-def _seat_ranks(instance: Instance, i: str) -> dict[Optional[str], int]:
-    """Student i's rank of every seat: her list's classes, then unassigned,
-    then the schools absent from a (truncated) list."""
-    n_classes = len(instance.prefs[i].classes)
-    ranks: dict[Optional[str], int] = dict.fromkeys(instance.schools, n_classes + 2)
-    ranks.update(instance.pref_rank[i])
-    ranks[UNASSIGNED] = n_classes + 1
-    return ranks
-
-
 def build_graph(instance: Instance, matching: Matching) -> MatchGraph:
     held = [(j, matching[j]) for j in instance.students]
+    pref_rank = instance.pref_rank
     weights: dict[tuple[str, str], int] = {}
     for i in instance.students:
-        ranks = _seat_ranks(instance, i)
+        ranks = pref_rank[i]
         own = ranks[matching[i]]
         for j, seat in held:
             if i == j:
@@ -107,6 +96,8 @@ def find_cliques(
     Cycles are rotated to start at the canonically smallest student and
     sorted; exceeding ``limit`` raises with the partial list attached.
     """
+    import networkx as nx  # only cycle enumeration needs it
+
     digraph = nx.DiGraph()
     digraph.add_nodes_from(graph.vertices)
     digraph.add_edges_from(graph.weights)
@@ -185,6 +176,8 @@ def has_trading_clique(graph: MatchGraph) -> bool:
     A cycle with a strict edge exists iff some strongly connected
     component (of the full graph) contains a weight-1 edge.
     """
+    import networkx as nx
+
     digraph = nx.DiGraph()
     digraph.add_nodes_from(graph.vertices)
     digraph.add_edges_from(graph.weights)
@@ -202,7 +195,7 @@ def apply_clique(instance: Instance, matching: Matching, clique: Clique) -> Matc
     cycle = clique.cycle
     assignment = matching.as_dict()
     for i, j in zip(cycle, cycle[1:] + cycle[:1]):
-        ranks = _seat_ranks(instance, i)
+        ranks = instance.pref_rank[i]
         if i == j or ranks[matching[j]] > ranks[matching[i]]:
             raise ValueError(f"stale clique: edge {i}->{j} no longer valid")
         assignment[i] = matching[j]

@@ -14,10 +14,10 @@ from schoolmatch import (
     sosm,
     ttc,
 )
-from schoolmatch.analysis import ViolationRecord
+from schoolmatch.analysis import ViolationRecord, below_free_seat
 from schoolmatch.errors import InstanceTooLargeError
 from schoolmatch.mechanisms import eadam
-from schoolmatch.model import UNASSIGNED, Instance, WeakOrder, tie_break
+from schoolmatch.model import Instance, WeakOrder, tie_break
 from schoolmatch.strategy import random_strict_instance
 from schoolmatch import oracle, trading
 
@@ -162,9 +162,7 @@ def reference_priority_violations(instance, matching):
             assigned = matching[victim]
             if assigned == s:
                 continue
-            own = (pref_rank[victim][assigned] if assigned is not UNASSIGNED
-                   else len(instance.prefs[victim].classes) + 1)
-            if pref_rank[victim][s] >= own:
+            if pref_rank[victim][s] >= pref_rank[victim][assigned]:
                 continue
             for violator in holders:
                 if prio_rank[s][victim] < prio_rank[s][violator]:
@@ -175,11 +173,12 @@ def reference_priority_violations(instance, matching):
     return records
 
 
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except Exception as exc:
-        return type(exc)
+def vacant_seat_envy(instance, matching):
+    """Some student ranks a school with a free seat above her own seat."""
+    fill, pref_rank = matching.fill_counts(), instance.pref_rank
+    return any(pref_rank[i][s] < pref_rank[i][matching[i]]
+               for i in instance.students for s in instance.schools
+               if fill.get(s, 0) < instance.capacity[s])
 
 
 def _weak_order(rng, items):
@@ -192,9 +191,11 @@ def test_priority_violations_match_reference():
     """Weak preferences and priorities, lists truncated in a third of the
     instances, capacities 1-3; the DA, TTC and EADAM matchings of a lottery
     tie-break and one random feasible matching, judged against both the
-    weak and the tie-broken instance."""
+    weak and the tie-broken instance.  ``is_stable`` and ``below_free_seat``
+    are checked against the reference and a direct vacant-seat loop."""
     rng = random.Random(44)
     outcomes = collections.Counter()
+    truncated_comparisons = 0
     for _ in range(2000):
         n, m = rng.randint(1, 8), rng.randint(1, 5)
         students = tuple(f"i{k}" for k in range(1, n + 1))
@@ -216,8 +217,12 @@ def test_priority_violations_match_reference():
         for matching in (sosm(strict)[0], ttc(strict), eadam(strict, consent).matching,
                          Matching.of(dict(zip(students, seats)), inst)):
             for judged in (inst, strict):
-                expected = _outcome(reference_priority_violations, judged, matching)
-                assert _outcome(priority_violations, judged, matching) == expected
-                outcomes[expected if isinstance(expected, type) else bool(expected)] += 1
-    assert outcomes.keys() == {True, False, KeyError}
-    assert outcomes[True] > 1500 and outcomes[KeyError] > 2500
+                expected = reference_priority_violations(judged, matching)
+                assert priority_violations(judged, matching) == expected
+                vacant = vacant_seat_envy(judged, matching)
+                assert below_free_seat(judged, matching) == vacant
+                assert is_stable(judged, matching) == (not expected and not vacant)
+                outcomes[bool(expected)] += 1
+                truncated_comparisons += any(len(p.items()) < m for p in prefs.values())
+    assert outcomes.keys() == {True, False}
+    assert outcomes[True] > 1500 and truncated_comparisons > 2500

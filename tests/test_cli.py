@@ -140,6 +140,26 @@ def test_strategy_dominance(capsys):
     assert report["verdict"] in ("dominates", "inconclusive")
 
 
+SEAT_SHORTAGE = """students i1 i2 i3
+schools s1 s2
+pref i1: s1 > s2
+pref i2: s1 > s2
+pref i3: s2 > s1
+prio s1: i1 > i2 > i3
+prio s2: i1 > i2 > i3
+"""
+
+
+def test_strategy_same_class_with_an_unassigned_student(tmp_path, capsys):
+    path = tmp_path / "short.txt"
+    path.write_text(SEAT_SHORTAGE)
+    code, report = run_json(
+        capsys, "strategy", "--check", "same-class", "--family", "1x2", str(path),
+    )
+    assert code == 0
+    assert report["cases"] == 1 and report["failures"] == 0
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("students i1\nschools s1\n")
@@ -216,3 +236,13 @@ def test_closed_pipe_gives_no_traceback():
     proc.wait()
     assert err == ""
     assert proc.returncode == 1
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = 'import sys, schoolmatch.cli; print("networkx" in sys.modules)'
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

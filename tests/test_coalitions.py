@@ -4,6 +4,7 @@ import pytest
 
 from schoolmatch import Matching, preference_index, sosm, ttc, dominates
 from schoolmatch import coalitions
+from schoolmatch.errors import InstanceTooLargeError
 from schoolmatch.mechanisms import eadam
 from schoolmatch.strategy import random_strict_instance
 
@@ -188,3 +189,10 @@ def test_mu7_outcome_not_reachable_by_eadam(scp3):
     for r in range(len(scp3.students) + 1):
         for consent in combinations(scp3.students, r):
             assert eadam(scp3, consent).matching != target
+
+
+def test_enumerate_coalitions_names_its_limit():
+    inst = random_strict_instance(random.Random(0), 9, 3)
+    with pytest.raises(InstanceTooLargeError,
+                       match=r"^9 students exceed max_students=8; raise max_students"):
+        coalitions.enumerate_coalitions(inst)

@@ -84,8 +84,7 @@ def test_eadam_weakly_dominates_sosm():
         consent = tuple(i for i in inst.students if rng.random() < 0.5)
         result = eadam(inst, consent)
         for i in inst.students:
-            assert inst.pref_rank[i].get(result.matching[i], 99) <= \
-                inst.pref_rank[i].get(base[i], 99)
+            assert inst.pref_rank[i][result.matching[i]] <= inst.pref_rank[i][base[i]]
 
 
 def test_eadam_rejects_unknown_consenters(scp3):

@@ -36,8 +36,13 @@ def test_enumerate_unique_and_capacity_respecting(scp4):
 
 
 def test_bound_enforced():
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(InstanceTooLargeError,
+                       match=r"^9 students exceed OracleBound.max_students=8; raise max_students"):
         list(oracle.enumerate_matchings(tiny(9, 2)))
+    with pytest.raises(InstanceTooLargeError,
+                       match=r"^matching-space ceiling 729 exceeds "
+                             r"OracleBound.max_total_matchings=500; raise max_total_matchings"):
+        oracle.check_bound(tiny(3, 8), oracle.OracleBound(max_total_matchings=500))
 
 
 def test_stable_set_scp1(scp1):

@@ -110,6 +110,18 @@ def test_same_class_cliques_two_class_sweep():
         assert strategy.same_class_cliques(inst, part)
 
 
+def test_same_class_cliques_with_an_unassigned_student():
+    inst = textio.parse_instance(
+        "students i1 i2 i3\nschools s1 s2\n"
+        "pref i1: s1 > s2\npref i2: s1 > s2\npref i3: s2 > s1\n"
+        "prio s1: i1 > i2 > i3\nprio s2: i1 > i2 > i3\n"
+    )
+    part = strategy.QualityPartition((("s1", "s2"),))
+    assert sosm(inst)[0]["i3"] is UNASSIGNED
+    assert part.class_of(UNASSIGNED) == 1
+    assert strategy.same_class_cliques(inst, part)
+
+
 def test_same_class_cliques_rejects_bad_profiles(scp2):
     part = strategy.QualityPartition((("s1", "s2"), ("s3", "s4", "s5")))
     with pytest.raises(PreconditionError):
