@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .errors import InstanceTooLargeError
-from .model import Instance, Matching, rank
+from .model import Instance, Matching, UNASSIGNED, rank
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,8 @@ def preference_index(instance: Instance, matching: Matching) -> int:
 def _claims(instance: Instance, matching: Matching):
     """Yield ``(student, school, holders)`` for each claim: a school the
     student ranks above her seat that has a free seat or whose cutoff, the
-    worst priority among its ``holders``, she beats."""
+    worst priority among its ``holders``, she beats; or ``UNASSIGNED`` with
+    no holders when she ranks her seat below having none."""
     prio_rank, capacity = instance.prio_rank, instance.capacity
     holders: dict[str | None, list[str]] = {}
     for i, s in matching.pairs:
@@ -44,7 +45,10 @@ def _claims(instance: Instance, matching: Matching):
                      else math.inf)   # every student clears a free seat
     for i, seat in matching.pairs:
         order = instance.prefs[i]
-        for cl in order.classes[: order.rank_map[seat] - 1]:
+        own = order.rank_map[seat]
+        if own > order.rank_map[UNASSIGNED]:
+            yield i, UNASSIGNED, ()
+        for cl in order.classes[: own - 1]:
             for s in cl:
                 if prio_rank[s][i] < cutoff[s]:
                     yield i, s, holders[s]
@@ -71,8 +75,9 @@ def priority_violations(instance: Instance, matching: Matching) -> list[Violatio
 
 
 def is_stable(instance: Instance, matching: Matching) -> bool:
-    """No student clears the cutoff of, or finds a free seat at, a school
-    she prefers to her own assignment."""
+    """No student holds a seat she ranks below having none, or clears the
+    cutoff of, or finds a free seat at, a school she prefers to her own
+    assignment."""
     return next(_claims(instance, matching), None) is None
 
 
@@ -80,7 +85,8 @@ def below_free_seat(instance: Instance, matching: Matching) -> bool:
     """True iff some student strictly prefers a school with a free seat to
     her own assignment."""
     capacity = instance.capacity
-    return any(len(held) < capacity[s] for _, s, held in _claims(instance, matching))
+    return any(s is not UNASSIGNED and len(held) < capacity[s]
+               for _, s, held in _claims(instance, matching))
 
 
 def dominates(instance: Instance, a: Matching, b: Matching) -> bool:
@@ -110,13 +116,12 @@ def is_efficient(
     baseline and nobody strictly prefers a school with a free seat.
     """
     try:
-        oracle.check_bound(instance, bound)
+        _, profile, no_worse = oracle._no_worse(instance, matching, bound)
     except InstanceTooLargeError:
         return _is_efficient_by_graph(instance, matching)
-    return not any(
-        dominates(instance, other, matching)
-        for other in oracle.enumerate_matchings(instance, bound)
-    )
+    # Each such matching ranks every student no worse, so one that differs
+    # from ``matching`` in any student's rank dominates it.
+    return all(p == profile for _, p in no_worse)
 
 
 def _is_efficient_by_graph(instance: Instance, matching: Matching) -> bool:
@@ -135,8 +140,20 @@ def _is_efficient_by_graph(instance: Instance, matching: Matching) -> bool:
             "instance beyond oracle bound and matching does not dominate "
             "the deferred-acceptance baseline"
         )
+    # A chain of moves that ends in a free seat is a cycle through one
+    # vacancy vertex: a student points to it when she weakly prefers a
+    # school with a free seat, and it points to every student.
     graph = trading.build_graph(instance, matching)
-    return not trading.has_trading_clique(graph)
+    vacancy = object()   # a vertex no student id equals
+    fill, pref_rank = matching.fill_counts(), instance.pref_rank
+    free = [s for s in instance.schools if fill.get(s, 0) < instance.capacity[s]]
+    weights = graph.weights
+    for i in instance.students:
+        ranks = pref_rank[i]
+        if any(ranks[s] <= ranks[matching[i]] for s in free):
+            weights[(i, vacancy)] = 0
+        weights[(vacancy, i)] = 0
+    return not trading.has_trading_clique(trading.MatchGraph((*graph.vertices, vacancy), weights))
 
 
 def is_reasonably_fair(

@@ -216,7 +216,7 @@ def _cmd_enumerate(args, out) -> int:
         baseline, _ = sosm(strict)
         found = oracle.efficient_dominations_of(instance, baseline)
     elif args.what == "tadam":
-        found = sorted(trading.tadam_enumerate(instance).terminals, key=lambda m: m.pairs)
+        found = trading.tadam_enumerate(instance).terminals
     elif args.what == "coalitions":
         outcomes = coalitions.enumerate_coalitions(strict)
         report = {
@@ -244,11 +244,16 @@ def _cmd_enumerate(args, out) -> int:
                 "matching": _matching_dict(m),
                 "preference_index": analysis.preference_index(instance, m),
             }
-            for m in found
+            for m in sorted(found, key=_seat_order)
         ],
     }
     _emit(report, args.format, out)
     return 0
+
+
+def _seat_order(matching: Matching) -> tuple:
+    """Sort key: each student's seat by name, unassigned last."""
+    return tuple((s is None, s or "") for _, s in matching.pairs)
 
 
 # ---------------------------------------------------------------------------

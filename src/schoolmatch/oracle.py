@@ -1,11 +1,16 @@
-"""Exhaustive ground truth for small instances: stream every
-capacity-respecting matching and derive stable / efficient sets from it.
+"""Exhaustive ground truth for small instances.
+
+Every search runs over *seat vectors*: one school index per student, -1
+for unassigned, never filling a school past its capacity.  Each call
+builds integer rank rows once from ``WeakOrder.rank_map`` and judges
+vectors on them; a ``Matching`` is built only for a vector it returns.
 Intentionally brute force; size bounds are enforced up front."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from operator import getitem
+from typing import Iterator, Sequence
 
 from .errors import InstanceTooLargeError
 from .model import Instance, Matching, UNASSIGNED
@@ -34,38 +39,115 @@ def check_bound(instance: Instance, bound: OracleBound = OracleBound()) -> None:
         )
 
 
+def _seat_vectors(
+    allowed: Sequence[Sequence[int]], seats: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Every tuple that gives student k a seat from ``allowed[k]`` and fills
+    no school j past ``seats[j]``, in the order of ``allowed``."""
+    last = len(allowed) - 1
+    free = [*seats, len(allowed)]   # free[-1]: room for every unassigned
+
+    def extend(k: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if k == last:
+            yield from (prefix + (j,) for j in allowed[k] if free[j])
+            return
+        for j in allowed[k]:
+            if free[j]:
+                free[j] -= 1
+                yield from extend(k + 1, prefix + (j,))
+                free[j] += 1
+
+    return extend(0, ()) if allowed else iter(((),))
+
+
+def _pref_rows(instance: Instance) -> list[list[int]]:
+    """Each student's rank of each school by index, then of unassigned, so
+    that seat -1 indexes the last entry."""
+    seats = (*instance.schools, UNASSIGNED)
+    return [list(map(instance.pref_rank[i].__getitem__, seats)) for i in instance.students]
+
+
+def _seats(instance: Instance) -> list[int]:
+    return [instance.capacity[s] for s in instance.schools]
+
+
+def _to_matching(instance: Instance, vector: tuple[int, ...]) -> Matching:
+    names = (*instance.schools, UNASSIGNED)
+    return Matching(tuple(zip(instance.students, map(names.__getitem__, vector))))
+
+
 def enumerate_matchings(
     instance: Instance, bound: OracleBound = OracleBound()
 ) -> Iterator[Matching]:
     """Every total assignment of students to schools-or-UNASSIGNED that
     respects capacities, each exactly once."""
     check_bound(instance, bound)
-    students = instance.students
-    schools = instance.schools
-    seats = [instance.capacity[s] for s in schools]
-    choice: list[Optional[str]] = [UNASSIGNED] * len(students)
-
-    def recurse(k: int) -> Iterator[Matching]:
-        if k == len(students):
-            yield Matching(tuple(zip(students, choice)))
-            return
-        choice[k] = UNASSIGNED
-        yield from recurse(k + 1)
-        for idx, s in enumerate(schools):
-            if seats[idx] > 0:
-                seats[idx] -= 1
-                choice[k] = s
-                yield from recurse(k + 1)
-                choice[k] = UNASSIGNED
-                seats[idx] += 1
-
-    return recurse(0)
+    every = tuple(range(-1, len(instance.schools)))
+    vectors = _seat_vectors([every] * len(instance.students), _seats(instance))
+    return (_to_matching(instance, v) for v in vectors)
 
 
 def stable_set(instance: Instance, bound: OracleBound = OracleBound()) -> set[Matching]:
-    from .analysis import is_stable
+    """Every stable matching, found by testing each capacity-respecting
+    seat vector: no student holds a seat she ranks below having none, and
+    none ranks above her seat a school that has a free seat or whose
+    cutoff (the worst priority among its holders) she beats."""
+    check_bound(instance, bound)
+    students, schools = instance.students, instance.schools
+    m = len(schools)
+    seats = _seats(instance)
+    prio = [list(map(instance.prio_rank[s].__getitem__, students)) for s in schools]
+    free_cutoff = len(students) + 3   # above any rank, off-list ones included
+    # above[k][j]: (school, student k's priority there) for each school she
+    # ranks above seat j; None when she ranks seat j below having none.
+    above = [
+        [None if row[j] > row[-1] else
+         tuple((t, prio[t][k]) for t in range(m) if row[t] < row[j])
+         for j in range(m + 1)]
+        for k, row in enumerate(_pref_rows(instance))
+    ]
 
-    return {m for m in enumerate_matchings(instance, bound) if is_stable(instance, m)}
+    def stable(vector: tuple[int, ...]) -> bool:
+        fill = [0] * m
+        cutoff = [0] * m
+        for k, j in enumerate(vector):
+            if j >= 0:
+                fill[j] += 1
+                if prio[j][k] > cutoff[j]:
+                    cutoff[j] = prio[j][k]
+        for j in range(m):
+            if fill[j] < seats[j]:
+                cutoff[j] = free_cutoff
+        for claims, j in zip(above, vector):
+            claims = claims[j]
+            if claims is None:
+                return False
+            for t, r in claims:
+                if r < cutoff[t]:
+                    return False
+        return True
+
+    every = tuple(range(-1, m))
+    vectors = _seat_vectors([every] * len(students), seats)
+    return {_to_matching(instance, v) for v in vectors if stable(v)}
+
+
+def _no_worse(
+    instance: Instance, matching: Matching, bound: OracleBound
+) -> tuple[tuple[int, ...], tuple[int, ...], Iterator[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """``matching``'s seat vector and rank profile, and ``(vector, profile)``
+    for every matching that gives each student a seat she ranks no worse:
+    those that dominate or equal ``matching``, and those that tie it."""
+    check_bound(instance, bound)
+    rows = _pref_rows(instance)
+    index = instance.school_index
+    ref = tuple(-1 if matching[i] is UNASSIGNED else index[matching[i]]
+                for i in instance.students)
+    profile = tuple(map(getitem, rows, ref))
+    allowed = [tuple(j for j in range(-1, len(row) - 1) if row[j] <= r)
+               for row, r in zip(rows, profile)]
+    vectors = _seat_vectors(allowed, _seats(instance))
+    return ref, profile, ((v, tuple(map(getitem, rows, v))) for v in vectors)
 
 
 def efficient_dominations_of(
@@ -73,17 +155,16 @@ def efficient_dominations_of(
 ) -> set[Matching]:
     """All matchings that dominate-or-equal ``matching`` and are themselves
     undominated."""
-    from .analysis import dominates
-
-    candidates = [
-        m
-        for m in enumerate_matchings(instance, bound)
-        if m == matching or dominates(instance, m, matching)
-    ]
+    ref, ref_profile, found = _no_worse(instance, matching, bound)
+    by_profile: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for v, p in found:
+        if p != ref_profile or v == ref:
+            by_profile.setdefault(p, []).append(v)
+    # A dominator of a candidate also dominates ``matching`` (domination is
+    # transitive), so it is a candidate too, with a smaller rank sum.
+    profiles = sorted(by_profile, key=sum)
     out = set()
-    for cand in candidates:
-        # A dominator of `cand` would also dominate-or-equal `matching`
-        # (domination is transitive), so scanning candidates suffices.
-        if not any(dominates(instance, other, cand) for other in candidates):
-            out.add(cand)
+    for k, p in enumerate(profiles):
+        if not any(all(map(int.__le__, q, p)) for q in profiles[:k]):
+            out.update(_to_matching(instance, v) for v in by_profile[p])
     return out

@@ -181,6 +181,12 @@ def vacant_seat_envy(instance, matching):
                if fill.get(s, 0) < instance.capacity[s])
 
 
+def below_unassigned(instance, matching):
+    """Some student ranks her own seat below having none."""
+    pref_rank = instance.pref_rank
+    return any(pref_rank[i][matching[i]] > pref_rank[i][None] for i in instance.students)
+
+
 def _weak_order(rng, items):
     order = rng.sample(items, len(items))
     cuts = sorted(rng.sample(range(1, len(order)), min(rng.randint(0, 2), len(order) - 1)))
@@ -192,7 +198,8 @@ def test_priority_violations_match_reference():
     instances, capacities 1-3; the DA, TTC and EADAM matchings of a lottery
     tie-break and one random feasible matching, judged against both the
     weak and the tie-broken instance.  ``is_stable`` and ``below_free_seat``
-    are checked against the reference and a direct vacant-seat loop."""
+    are checked against the reference, a direct vacant-seat loop and a
+    direct individual-rationality loop."""
     rng = random.Random(44)
     outcomes = collections.Counter()
     truncated_comparisons = 0
@@ -221,7 +228,9 @@ def test_priority_violations_match_reference():
                 assert priority_violations(judged, matching) == expected
                 vacant = vacant_seat_envy(judged, matching)
                 assert below_free_seat(judged, matching) == vacant
-                assert is_stable(judged, matching) == (not expected and not vacant)
+                unacceptable = below_unassigned(judged, matching)
+                assert is_stable(judged, matching) == (
+                    not expected and not vacant and not unacceptable)
                 outcomes[bool(expected)] += 1
                 truncated_comparisons += any(len(p.items()) < m for p in prefs.values())
     assert outcomes.keys() == {True, False}

@@ -1,9 +1,14 @@
+import collections
+import random
+
 import pytest
 
-from schoolmatch import Matching, preference_index, sosm
-from schoolmatch import oracle
+from schoolmatch import (
+    Matching, dominates, is_efficient, is_reasonably_fair, is_stable, preference_index, sosm,
+)
+from schoolmatch import analysis, oracle, trading
 from schoolmatch.errors import InstanceTooLargeError
-from schoolmatch.model import Instance, WeakOrder
+from schoolmatch.model import Instance, WeakOrder, tie_break
 
 
 def tiny(n_students, n_schools):
@@ -78,3 +83,111 @@ def test_efficient_dominations_scp5(scp5):
 def test_efficient_dominations_of_efficient_matching(scp1):
     m_e = Matching.of({"i1": "s2", "i2": "s1", "i3": "s3"}, scp1)
     assert oracle.efficient_dominations_of(scp1, m_e) == {m_e}
+
+
+def test_stable_set_requires_individual_rationality():
+    students, schools = ("i1", "i2"), ("a", "b")
+    inst = Instance(
+        students, schools, {"a": 1, "b": 1},
+        {"i1": WeakOrder.strict(["a"]), "i2": WeakOrder.strict(["a", "b"])},
+        {"a": WeakOrder.strict(["i2", "i1"]), "b": WeakOrder.strict(["i1", "i2"])},
+    )
+    unacceptable = Matching.of({"i1": "b", "i2": "a"}, inst)
+    assert not is_stable(inst, unacceptable)
+    assert oracle.stable_set(inst) == {sosm(inst)[0]} == {Matching.of({"i2": "a"}, inst)}
+
+
+def test_efficient_dominations_skip_rank_ties():
+    """Swapping two indifferent students changes the matching but no rank:
+    it neither equals nor dominates the reference."""
+    students, schools = ("i1", "i2"), ("a", "b")
+    inst = Instance(
+        students, schools, {"a": 1, "b": 1},
+        {i: WeakOrder.of([["a", "b"]]) for i in students},
+        {s: WeakOrder.strict(students) for s in schools},
+    )
+    ref = Matching.of({"i1": "a", "i2": "b"}, inst)
+    assert oracle.efficient_dominations_of(inst, ref) == {ref}
+    assert is_efficient(inst, ref)
+
+
+def _weak_order(rng, items, truncate=False):
+    order = rng.sample(items, rng.randint(0, len(items)) if truncate else len(items))
+    cuts = sorted(rng.sample(range(1, len(order)), min(rng.randint(0, 2), max(len(order) - 1, 0))))
+    return WeakOrder.of(order[a:b] for a, b in zip([0] + cuts, cuts + [len(order)]) if a < b)
+
+
+def _brute_force(inst, ref):
+    """Stable set, efficient dominations of ``ref``, and whether ``ref`` is
+    efficient and reasonably fair, by filtering every matching."""
+    every = list(oracle.enumerate_matchings(inst))
+    stable = {m for m in every if is_stable(inst, m)}
+    candidates = [m for m in every if m == ref or dominates(inst, m, ref)]
+    efficient = {c for c in candidates if not any(dominates(inst, o, c) for o in candidates)}
+    ranks = inst.pref_rank
+    fair = not any(ranks[i][m[i]] < ranks[i][ref[i]] for m in stable for i in inst.students)
+    return stable, efficient, not any(dominates(inst, m, ref) for m in every), fair
+
+
+def test_seat_vector_oracle_matches_brute_force():
+    """Weak preferences and priorities, lists truncated in half of the
+    instances, capacities 1-2 (seat shortage whenever the students
+    outnumber the seats); the reference matching is the lottery DA or a
+    random capacity-respecting matching, which may hand out unlisted seats."""
+    rng = random.Random(9)
+    seen = collections.Counter()
+    for _ in range(1000):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        students = tuple(f"i{k}" for k in range(1, n + 1))
+        schools = tuple(f"s{k}" for k in range(1, m + 1))
+        truncate = rng.random() < 0.5
+        inst = Instance(
+            students, schools, {s: rng.randint(1, 2) for s in schools},
+            {i: _weak_order(rng, schools, truncate) for i in students},
+            {s: _weak_order(rng, students) for s in schools},
+        )
+        if rng.random() < 0.5:
+            ref = sosm(tie_break(inst, rng.randint(0, 3)))[0]
+        else:
+            seats = [s for s in schools for _ in range(inst.capacity[s])] + [None] * n
+            rng.shuffle(seats)
+            ref = Matching.of(dict(zip(students, seats)), inst)
+        stable, efficient, eff, fair = _brute_force(inst, ref)
+        assert oracle.stable_set(inst) == stable
+        assert oracle.efficient_dominations_of(inst, ref) == efficient
+        assert is_efficient(inst, ref) == eff
+        assert is_reasonably_fair(inst, ref) == fair
+        seen["shortage"] += sum(inst.capacity.values()) < n
+        seen["several stable"] += len(stable) > 1
+        seen["dominated"] += not eff
+        seen["unfair"] += not fair
+    assert min(seen.values()) > 100, seen
+
+
+def test_graph_route_matches_oracle():
+    """Weak complete lists and priorities, 2-5 students, 2-4 schools with
+    1-2 seats; the DA and canonical TADAM matchings.  Wherever the graph
+    route answers, it agrees with the oracle, also when the only
+    improvement is a chain into a vacant seat."""
+    rng = random.Random(12)
+    answered = collections.Counter()
+    for _ in range(1000):
+        n, m = rng.randint(2, 5), rng.randint(2, 4)
+        students = tuple(f"i{k}" for k in range(1, n + 1))
+        schools = tuple(f"s{k}" for k in range(1, m + 1))
+        inst = Instance(
+            students, schools, {s: rng.randint(1, 2) for s in schools},
+            {i: _weak_order(rng, schools) for i in students},
+            {s: _weak_order(rng, students) for s in schools},
+        )
+        result = trading.tadam_run(inst)
+        for matching in (result.baseline, result.matching):
+            try:
+                by_graph = analysis._is_efficient_by_graph(inst, matching)
+            except InstanceTooLargeError:
+                continue
+            assert by_graph == is_efficient(inst, matching), (inst, matching)
+            answered[by_graph] += 1
+            answered["vacant"] += by_graph is False and not trading.has_trading_clique(
+                trading.build_graph(inst, matching))
+    assert answered[True] > 500 and answered[False] > 200 and answered["vacant"] > 5, answered
