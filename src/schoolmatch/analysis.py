@@ -8,8 +8,8 @@ import math
 from dataclasses import dataclass
 
 from . import oracle
-from .errors import InstanceTooLargeError
 from .model import Instance, Matching, UNASSIGNED, rank
+from .trading import MatchGraph, build_graph, has_trading_clique
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,6 @@ def is_stable(instance: Instance, matching: Matching) -> bool:
     return next(_claims(instance, matching), None) is None
 
 
-def below_free_seat(instance: Instance, matching: Matching) -> bool:
-    """True iff some student strictly prefers a school with a free seat to
-    her own assignment."""
-    capacity = instance.capacity
-    return any(s is not UNASSIGNED and len(held) < capacity[s]
-               for _, s, held in _claims(instance, matching))
-
-
 def dominates(instance: Instance, a: Matching, b: Matching) -> bool:
     """True iff ``a`` weakly improves every student over ``b`` and strictly
     improves at least one (ranks taken in each student's own profile)."""
@@ -103,57 +95,38 @@ def dominates(instance: Instance, a: Matching, b: Matching) -> bool:
     return strict
 
 
-def is_efficient(
-    instance: Instance,
-    matching: Matching,
-    bound: oracle.OracleBound = oracle.OracleBound(),
-) -> bool:
-    """True iff no valid matching dominates ``matching``.
+def is_efficient(instance: Instance, matching: Matching) -> bool:
+    """True iff no matching dominates ``matching``: its trading graph, plus
+    a vacancy vertex, has no cycle through a weight-1 edge.  A student
+    points to the vacancy when a school with a free seat, or being
+    unassigned, ranks no worse than her seat (weight 1 if strictly better);
+    the vacancy points to every student.
 
-    Uses the exhaustive oracle when the instance is within bound; otherwise
-    falls back to the acyclicity test on the matching's trading graph, which
-    is valid when the matching weakly dominates the deferred-acceptance
-    baseline and nobody strictly prefers a school with a free seat.
+    The test is exact for every matching: individually rational or not,
+    dominating DA or not, leaving a preferred seat free or not.  Such a
+    cycle is an improvement: each student on it takes the seat of the one
+    she points to, one pointing to the vacancy takes her free seat (or
+    none), and the seat of the one the vacancy points to falls vacant.
+    Conversely, given a dominating matching, point each student who moves
+    at one who leaves the school (or none) she enters, no two at the same
+    one, or, once those run out, at the vacancy: that school had a free
+    seat, as the dominating matching fits its capacity.  The walk from a
+    student who is strictly better off starts on a weight-1 edge and, no
+    two pointing alike, returns to her or reaches the vacancy, which
+    points to her.
     """
-    try:
-        _, profile, no_worse = oracle._no_worse(instance, matching, bound)
-    except InstanceTooLargeError:
-        return _is_efficient_by_graph(instance, matching)
-    # Each such matching ranks every student no worse, so one that differs
-    # from ``matching`` in any student's rank dominates it.
-    return all(p == profile for _, p in no_worse)
-
-
-def _is_efficient_by_graph(instance: Instance, matching: Matching) -> bool:
-    from . import trading  # local import; trading depends on analysis
-    from .mechanisms import sosm
-    from .model import tie_break
-
-    if below_free_seat(instance, matching):
-        raise InstanceTooLargeError(
-            "instance beyond oracle bound and matching leaves a "
-            "preferred seat vacant; no efficiency route applies"
-        )
-    baseline, _ = sosm(tie_break(instance, 0))
-    if matching != baseline and not dominates(instance, matching, baseline):
-        raise InstanceTooLargeError(
-            "instance beyond oracle bound and matching does not dominate "
-            "the deferred-acceptance baseline"
-        )
-    # A chain of moves that ends in a free seat is a cycle through one
-    # vacancy vertex: a student points to it when she weakly prefers a
-    # school with a free seat, and it points to every student.
-    graph = trading.build_graph(instance, matching)
+    graph = build_graph(instance, matching)
     vacancy = object()   # a vertex no student id equals
-    fill, pref_rank = matching.fill_counts(), instance.pref_rank
-    free = [s for s in instance.schools if fill.get(s, 0) < instance.capacity[s]]
+    fill, capacity = matching.fill_counts(), instance.capacity
+    free = [s for s in instance.schools if fill.get(s, 0) < capacity[s]] + [UNASSIGNED]
     weights = graph.weights
     for i in instance.students:
-        ranks = pref_rank[i]
-        if any(ranks[s] <= ranks[matching[i]] for s in free):
-            weights[(i, vacancy)] = 0
+        ranks = instance.pref_rank[i]
+        best, own = min(map(ranks.__getitem__, free)), ranks[matching[i]]
+        if best <= own:
+            weights[(i, vacancy)] = int(best < own)
         weights[(vacancy, i)] = 0
-    return not trading.has_trading_clique(trading.MatchGraph((*graph.vertices, vacancy), weights))
+    return not has_trading_clique(MatchGraph((*graph.vertices, vacancy), weights))
 
 
 def is_reasonably_fair(

@@ -132,32 +132,23 @@ def stable_set(instance: Instance, bound: OracleBound = OracleBound()) -> set[Ma
     return {_to_matching(instance, v) for v in vectors if stable(v)}
 
 
-def _no_worse(
-    instance: Instance, matching: Matching, bound: OracleBound
-) -> tuple[tuple[int, ...], tuple[int, ...], Iterator[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """``matching``'s seat vector and rank profile, and ``(vector, profile)``
-    for every matching that gives each student a seat she ranks no worse:
-    those that dominate or equal ``matching``, and those that tie it."""
+def efficient_dominations_of(
+    instance: Instance, matching: Matching, bound: OracleBound = OracleBound()
+) -> set[Matching]:
+    """All matchings that dominate-or-equal ``matching`` and are themselves
+    undominated.  Only the seat vectors that give each student a seat she
+    ranks no worse are visited: those that dominate, equal or tie it."""
     check_bound(instance, bound)
     rows = _pref_rows(instance)
     index = instance.school_index
     ref = tuple(-1 if matching[i] is UNASSIGNED else index[matching[i]]
                 for i in instance.students)
-    profile = tuple(map(getitem, rows, ref))
+    ref_profile = tuple(map(getitem, rows, ref))
     allowed = [tuple(j for j in range(-1, len(row) - 1) if row[j] <= r)
-               for row, r in zip(rows, profile)]
-    vectors = _seat_vectors(allowed, _seats(instance))
-    return ref, profile, ((v, tuple(map(getitem, rows, v))) for v in vectors)
-
-
-def efficient_dominations_of(
-    instance: Instance, matching: Matching, bound: OracleBound = OracleBound()
-) -> set[Matching]:
-    """All matchings that dominate-or-equal ``matching`` and are themselves
-    undominated."""
-    ref, ref_profile, found = _no_worse(instance, matching, bound)
+               for row, r in zip(rows, ref_profile)]
     by_profile: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for v, p in found:
+    for v in _seat_vectors(allowed, _seats(instance)):
+        p = tuple(map(getitem, rows, v))
         if p != ref_profile or v == ref:
             by_profile.setdefault(p, []).append(v)
     # A dominator of a candidate also dominates ``matching`` (domination is

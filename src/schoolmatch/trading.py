@@ -103,10 +103,13 @@ def find_cliques(
     digraph.add_edges_from(graph.weights)
     order = instance.student_index
 
+    def by_index(clique: Clique) -> tuple[int, ...]:
+        return tuple(map(order.__getitem__, clique.cycle))
+
     cliques = []
     for count, cycle in enumerate(nx.simple_cycles(digraph), start=1):
         if count > limit:
-            cliques.sort(key=lambda c: c.cycle)
+            cliques.sort(key=by_index)
             raise CycleLimitExceededError(
                 f"found more than {limit} cycles; raise cycle_limit to enumerate further",
                 partial=cliques,
@@ -119,7 +122,7 @@ def find_cliques(
             else CliqueKind.NULL
         )
         cliques.append(Clique(canon, kind))
-    cliques.sort(key=lambda c: tuple(order[v] for v in c.cycle))
+    cliques.sort(key=by_index)
     return cliques
 
 
@@ -173,21 +176,45 @@ def least_trading_clique(graph: MatchGraph, instance: Instance) -> Optional[Cliq
 def has_trading_clique(graph: MatchGraph) -> bool:
     """True iff some cycle carries a weight-1 edge.
 
-    A cycle with a strict edge exists iff some strongly connected
-    component (of the full graph) contains a weight-1 edge.
+    That holds iff some weight-1 edge (a, b) has both ends in one strongly
+    connected component: a shortest path from b back to a closes a simple
+    cycle.  The components come from Tarjan's search, kept iterative as
+    district graphs are too deep for recursion; any hashable vertex works.
     """
-    import networkx as nx
+    succ: dict = {v: [] for v in graph.vertices}
+    for i, j in graph.weights:
+        succ[i].append(j)
+    index: dict = {}
+    low: dict = {}
+    comp: dict = {}      # vertex -> the root of its component
+    stack: list = []     # visited vertices not yet in a component
+    work: list = []      # the search path, each with its unread out-edges
 
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(graph.vertices)
-    digraph.add_edges_from(graph.weights)
-    for comp in nx.strongly_connected_components(digraph):
-        if len(comp) < 2:
-            continue
-        for (i, j), w in graph.weights.items():
-            if w == 1 and i in comp and j in comp:
-                return True
-    return False
+    def visit(v) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        work.append((v, iter(succ[v])))
+
+    for root in succ:
+        if root not in index:
+            visit(root)
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    visit(w)
+                    break
+                if w not in comp:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while v not in comp:
+                        comp[stack.pop()] = v
+    return any(w == 1 and comp[i] == comp[j] for (i, j), w in graph.weights.items())
 
 
 def apply_clique(instance: Instance, matching: Matching, clique: Clique) -> Matching:

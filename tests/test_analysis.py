@@ -14,7 +14,7 @@ from schoolmatch import (
     sosm,
     ttc,
 )
-from schoolmatch.analysis import ViolationRecord, below_free_seat
+from schoolmatch.analysis import ViolationRecord
 from schoolmatch.errors import InstanceTooLargeError
 from schoolmatch.mechanisms import eadam
 from schoolmatch.model import Instance, WeakOrder, tie_break
@@ -99,6 +99,24 @@ def test_is_efficient_single_pair():
         {"s1": WeakOrder.strict(["i1"])},
     )
     assert is_efficient(inst, m_of({"i1": "s1"}, inst))
+
+
+def test_is_efficient_beyond_oracle_bound():
+    """Ten students and ten schools, past the oracle's bound: TTC is
+    efficient, the empty matching is not, and DA, stable on strict
+    preferences, is efficient iff its trading graph has no trading clique."""
+    verdicts = collections.Counter()
+    for seed in range(1, 6):
+        inst = random_strict_instance(random.Random(seed), 10, 10)
+        with pytest.raises(InstanceTooLargeError):
+            oracle.check_bound(inst)
+        assert is_efficient(inst, ttc(inst))
+        assert not is_efficient(inst, m_of({}, inst))
+        da = sosm(inst)[0]
+        no_clique = not trading.has_trading_clique(trading.build_graph(inst, da))
+        assert is_efficient(inst, da) == no_clique
+        verdicts[no_clique] += 1
+    assert verdicts.keys() == {True, False}, verdicts
 
 
 def test_is_reasonably_fair(scp1):
@@ -197,9 +215,9 @@ def test_priority_violations_match_reference():
     """Weak preferences and priorities, lists truncated in a third of the
     instances, capacities 1-3; the DA, TTC and EADAM matchings of a lottery
     tie-break and one random feasible matching, judged against both the
-    weak and the tie-broken instance.  ``is_stable`` and ``below_free_seat``
-    are checked against the reference, a direct vacant-seat loop and a
-    direct individual-rationality loop."""
+    weak and the tie-broken instance.  ``is_stable`` is checked against the
+    reference, a direct vacant-seat loop and a direct individual-rationality
+    loop."""
     rng = random.Random(44)
     outcomes = collections.Counter()
     truncated_comparisons = 0
@@ -227,7 +245,6 @@ def test_priority_violations_match_reference():
                 expected = reference_priority_violations(judged, matching)
                 assert priority_violations(judged, matching) == expected
                 vacant = vacant_seat_envy(judged, matching)
-                assert below_free_seat(judged, matching) == vacant
                 unacceptable = below_unassigned(judged, matching)
                 assert is_stable(judged, matching) == (
                     not expected and not vacant and not unacceptable)

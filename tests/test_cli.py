@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -239,13 +241,37 @@ def test_closed_pipe_gives_no_traceback():
 
 
 def test_cli_import_leaves_networkx_unloaded():
+    """Only cycle enumeration loads networkx: not the CLI import, the
+    trading-clique test, the efficiency test on ten students or canonical
+    TADAM on strict preferences."""
     src = Path(__file__).parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = 'import sys, schoolmatch.cli; print("networkx" in sys.modules)'
+    code = """
+import random, sys
+import schoolmatch.cli
+from schoolmatch import analysis, sosm, trading
+from schoolmatch.strategy import random_strict_instance
+inst = random_strict_instance(random.Random(1), 10, 10)
+da = sosm(inst)[0]
+trading.has_trading_clique(trading.build_graph(inst, da))
+analysis.is_efficient(inst, da)
+trading.tadam_run(inst, "canonical")
+print("networkx" in sys.modules)
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    (snippet,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    shutil.copy(fix("scp3"), tmp_path / "instance.txt")
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    exec(compile(snippet, "README.md", "exec"), scope)
+    assert scope["result"].baseline == scope["matching"]
 
 
 @pytest.mark.parametrize("what", ["stable", "efficient-dominations", "tadam"])

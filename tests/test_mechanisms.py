@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -252,17 +253,18 @@ def rescanning_eadam(inst, consent):
             {p.student: inst.prefs[p.student].without(p.school) for p in removals[-1]})
 
 
-def coarse_instance(rng, students=(2, 10), schools=(1, 6), max_capacity=3):
-    """Strict preferences, a quarter of them truncated (some to nothing);
-    capacities 1 to ``max_capacity``, often fewer seats than students;
-    priorities in one to three classes, broken by a lottery seed 0-4."""
+def coarse_instance(rng, students=(2, 10), schools=(1, 6), max_capacity=3, truncate=0.25):
+    """Strict preferences, a share ``truncate`` of them truncated (some to
+    nothing); capacities 1 to ``max_capacity``, often fewer seats than
+    students; priorities in one to three classes, broken by a lottery seed
+    0-4."""
     n, m = rng.randint(*students), rng.randint(*schools)
     students = tuple(f"i{k}" for k in range(1, n + 1))
     schools = tuple(f"s{k}" for k in range(1, m + 1))
     prefs = {}
     for i in students:
         order = rng.sample(schools, m)
-        if rng.random() < 0.25:
+        if rng.random() < truncate:
             order = order[: rng.randint(0, m - 1)]
         prefs[i] = WeakOrder.strict(order)
     prios = {}
@@ -299,3 +301,45 @@ def test_pointer_loops_match_rescanning_references():
         truncated += any(len(inst.prefs[i].classes) < len(inst.schools) for i in inst.students)
         removed += bool(result.removals)
     assert short > 600 and truncated > 1200 and removed > 250
+
+
+def simplified_eadam(inst):
+    """Tang & Yu's (2014) simplified EADAM, every student consenting: run
+    DA, settle the unassigned and the students at schools that rejected
+    nobody, drop them and those schools, and repeat on the rest."""
+    settled = {}
+    students, schools = inst.students, inst.schools
+    while students:
+        kept = set(schools)
+        sub = Instance(
+            students, schools, {s: inst.capacity[s] for s in schools},
+            {i: WeakOrder.strict([s for s in inst.prefs[i].items() if s in kept])
+             for i in students},
+            {s: WeakOrder.strict([i for i in inst.prios[s].items() if i in students])
+             for s in schools},
+        )
+        matching, _ = sosm(sub)
+        proposed = collections.Counter()   # each proposes down her list to her seat
+        for i, seat in matching.pairs:
+            order = sub.prefs[i].items()
+            proposed.update(order if seat is UNASSIGNED else order[: order.index(seat) + 1])
+        calm = {s for s in schools if proposed[s] == len(matching.students_at(s))}
+        settled.update((i, s) for i, s in matching.pairs if s is UNASSIGNED or s in calm)
+        students = tuple(i for i in students if i not in settled)
+        schools = tuple(s for s in schools if s not in calm)
+    return Matching.of(settled, inst)
+
+
+def test_eadam_matches_simplified_eadam():
+    """Full-consent EADAM against the simplified EADAM on 4,000 strict
+    instances: 1-7 students, 1-6 schools with 1-3 seats, 30 % of lists
+    truncated."""
+    rng = random.Random(38)
+    seen = collections.Counter()
+    for _ in range(4000):
+        inst = coarse_instance(rng, (1, 7), (1, 6), truncate=0.3)
+        result = eadam(inst, inst.students)
+        assert result.matching == simplified_eadam(inst), inst
+        seen["short"] += sum(inst.capacity.values()) < len(inst.students)
+        seen["improved"] += bool(result.removals) and result.matching != sosm(inst)[0]
+    assert seen["short"] > 300 and seen["improved"] > 50, seen

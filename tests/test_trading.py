@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -260,6 +261,19 @@ def test_search_limits_name_their_knob_and_keep_partial(scp6):
     assert err.value.partial == []
 
 
+def test_cycle_limit_partial_keeps_the_full_order():
+    """The partial list is in the full list's order, declaration index,
+    also where ids sort differently as strings (i10 < i2)."""
+    inst = random_strict_instance(random.Random(11), 12, 12)
+    graph = trading.build_graph(inst, sosm(inst)[0])
+    full = trading.find_cliques(graph, inst)
+    with pytest.raises(CycleLimitExceededError) as err:
+        trading.find_cliques(graph, inst, limit=6)
+    partial = err.value.partial
+    assert len(partial) == 6 < len(full)
+    assert [c for c in full if c in partial] == partial
+
+
 def test_realize_domination_scp3(scp3):
     target = Matching.of(
         {"i1": "s1", "i2": "s2", "i3": "s5", "i4": "s4", "i5": "s3"}, scp3
@@ -291,6 +305,48 @@ def test_acyclicity_matches_oracle_efficiency():
                 trading.build_graph(inst, m)
             )
             assert no_clique == (m in efficient)
+
+
+def networkx_has_trading_clique(graph):
+    """The networkx version of ``has_trading_clique``, kept as a reference."""
+    import networkx as nx
+
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(graph.vertices)
+    digraph.add_edges_from(graph.weights)
+    for comp in nx.strongly_connected_components(digraph):
+        if len(comp) < 2:
+            continue
+        for (i, j), w in graph.weights.items():
+            if w == 1 and i in comp and j in comp:
+                return True
+    return False
+
+
+def test_has_trading_clique_matches_networkx_reference():
+    """Random weighted digraphs of 0-9 vertices without self-loops, a
+    third of them with a non-string vertex like ``is_efficient``'s
+    vacancy; then one cycle and one path of 5,000 vertices, too deep for
+    a recursive search."""
+    rng = random.Random(35)
+    answers = collections.Counter()
+    for _ in range(2000):
+        vertices = [f"v{k}" for k in range(rng.randint(0, 9))]
+        if vertices and rng.random() < 1 / 3:
+            vertices[rng.randrange(len(vertices))] = object()
+        density, strict = rng.random() / 2, rng.random()
+        weights = {(a, b): int(rng.random() < strict)
+                   for a in vertices for b in vertices if a is not b and rng.random() < density}
+        graph = trading.MatchGraph(tuple(vertices), weights)
+        expected = networkx_has_trading_clique(graph)
+        assert trading.has_trading_clique(graph) == expected, graph
+        answers[expected, any(not isinstance(v, str) for v in vertices)] += 1
+    assert len(answers) == 4 and min(answers.values()) > 200, answers
+    ring = [f"v{k}" for k in range(5000)]
+    path = {(a, b): 0 for a, b in zip(ring, ring[1:])}
+    assert not trading.has_trading_clique(trading.MatchGraph(tuple(ring), path))
+    assert trading.has_trading_clique(
+        trading.MatchGraph(tuple(ring), {**path, (ring[-1], ring[0]): 1}))
 
 
 def test_truncation_never_adds_cliques():
