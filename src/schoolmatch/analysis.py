@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 from . import oracle
+from .mechanisms import sosm
 from .model import Instance, Matching, UNASSIGNED, rank
 from .trading import MatchGraph, build_graph, has_trading_clique
 
@@ -134,10 +135,11 @@ def is_reasonably_fair(
     matching: Matching,
     bound: oracle.OracleBound = oracle.OracleBound(),
 ) -> bool:
-    """True iff no stable matching gives any student a strictly better seat."""
-    for stable in oracle.stable_set(instance, bound):
-        for i in instance.students:
-            profile = instance.prefs[i]
-            if rank(profile, stable[i]) < rank(profile, matching[i]):
-                return False
-    return True
+    """True iff no stable matching gives any student a strictly better seat.
+    On a strict instance DA gives each her best stable seat (Gale & Shapley
+    1962), at any size.  With ties that question is NP-complete (Manlove et
+    al. 2002), so the bounded oracle enumerates the stable set."""
+    rivals = [sosm(instance)[0]] if instance.is_strict else oracle.stable_set(instance, bound)
+    ranks = instance.pref_rank
+    return not any(ranks[i][rival[i]] < ranks[i][matching[i]]
+                   for rival in rivals for i in instance.students)

@@ -6,7 +6,7 @@ reproduces the interrupter-removal outcome as a coalition."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Optional
 
@@ -28,22 +28,11 @@ class Coalition:
 
     loops: tuple[tuple[str, ...], ...]
     accomplices: tuple[str, ...]
-    displaced: dict[str, frozenset[str]]
+    displaced: dict[str, frozenset[str]] = field(hash=False)
 
     @property
     def cabal(self) -> frozenset[str]:
         return frozenset(chain.from_iterable(self.loops))
-
-    def __hash__(self):
-        return hash((self.loops, self.accomplices))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Coalition)
-            and self.loops == other.loops
-            and self.accomplices == other.accomplices
-            and self.displaced == other.displaced
-        )
 
 
 def _loop_links(loops: Iterable[tuple[str, ...]]):

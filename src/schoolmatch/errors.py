@@ -9,20 +9,18 @@ class InstanceTooLargeError(SchoolMatchError):
     """Raised when a brute-force routine is asked to exceed its size bound."""
 
 
-class CycleLimitExceededError(SchoolMatchError):
+class _LimitError(SchoolMatchError):
+    def __init__(self, message, partial):
+        super().__init__(message)
+        self.partial = partial
+
+
+class CycleLimitExceededError(_LimitError):
     """Cycle enumeration hit its count limit; partial results are attached."""
 
-    def __init__(self, message, partial):
-        super().__init__(message)
-        self.partial = partial
 
-
-class SearchLimitExceededError(SchoolMatchError):
+class SearchLimitExceededError(_LimitError):
     """Matching-space search hit its limit; partial results are attached."""
-
-    def __init__(self, message, partial):
-        super().__init__(message)
-        self.partial = partial
 
 
 class PreconditionError(SchoolMatchError):

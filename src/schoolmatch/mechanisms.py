@@ -8,8 +8,10 @@ structures; break ties first (:func:`schoolmatch.model.tie_break`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import count
+from typing import Iterable, Optional, Sequence
 
 from .model import Instance, Matching, UNASSIGNED
 
@@ -26,7 +28,25 @@ class DaStep:
 
 @dataclass(frozen=True)
 class DaTrace:
-    steps: tuple[DaStep, ...]
+    """One DA run as waves of indices ``(proposers, proposals, holds,
+    rejections)``: the proposers, then dicts from each school the wave
+    proposed to (in order of first proposal) to its new proposers, its
+    holds by priority and its rejections if any.  Students are in index
+    order but for holds.  :attr:`steps` names the waves on first read."""
+
+    students: tuple[str, ...] = field(repr=False)
+    schools: tuple[str, ...] = field(repr=False)
+    waves: tuple[tuple[list[int], dict, dict, dict], ...]
+
+    @cached_property
+    def steps(self) -> tuple[DaStep, ...]:
+        student = self.students.__getitem__
+
+        def named(by_school: dict) -> dict[str, tuple[str, ...]]:
+            return {self.schools[j]: tuple(map(student, ks)) for j, ks in by_school.items()}
+
+        return tuple(DaStep(tuple(map(student, proposers)), *map(named, by_school))
+                     for proposers, *by_school in self.waves)
 
 
 @dataclass(frozen=True)
@@ -41,6 +61,41 @@ def _require_strict(instance: Instance) -> None:
         raise ValueError("mechanism requires a strict instance; run tie_break first")
 
 
+def _deferred_acceptance(
+    instance: Instance, lists: Sequence[Sequence[int]]
+) -> tuple[list[int], DaTrace]:
+    """DA on school-index ``lists`` with the instance's priorities and
+    seats: the seat vector (-1 for unassigned) and the trace."""
+    prio, seats = instance.int_view.prio_rows, instance.int_view.seats
+    pointer = [0] * len(lists)   # next list index to propose to
+    held: list[list[int]] = [[] for _ in seats]
+    waves = []
+    proposers = [k for k, order in enumerate(lists) if order]
+    while proposers:
+        proposals: dict[int, list[int]] = {}
+        for k in proposers:
+            proposals.setdefault(lists[k][pointer[k]], []).append(k)
+        holds, rejections, rejected_now = {}, {}, []
+        for j, newcomers in proposals.items():
+            pool = held[j] + newcomers
+            pool.sort(key=prio[j].__getitem__)
+            if len(pool) > seats[j]:
+                rejections[j] = sorted(pool[seats[j]:])
+                rejected_now += rejections[j]
+                del pool[seats[j]:]
+            held[j] = holds[j] = pool
+        waves.append((proposers, proposals, holds, rejections))
+        for k in rejected_now:
+            pointer[k] += 1
+        proposers = sorted(k for k in rejected_now if pointer[k] < len(lists[k]))
+
+    seat = [-1] * len(lists)
+    for j, ks in enumerate(held):
+        for k in ks:
+            seat[k] = j
+    return seat, DaTrace(instance.students, instance.schools, tuple(waves))
+
+
 def sosm(instance: Instance) -> tuple[Matching, DaTrace]:
     """Student-proposing deferred acceptance with multi-seat schools.
 
@@ -49,52 +104,11 @@ def sosm(instance: Instance) -> tuple[Matching, DaTrace]:
     (by priority) among current holds plus new proposers.  Stops when no
     unengaged student has a school left to propose to.  Only students
     rejected at a step propose at the next, so no step rescans everyone.
+    Runs on the instance's :class:`IntView`; the trace keeps indices.
     """
     _require_strict(instance)
-    pref_lists = instance.strict_pref_lists
-    prio = instance.prio_rank
-    capacity = instance.capacity
-    index = instance.student_index.__getitem__
-
-    pointer = {i: 0 for i in instance.students}   # next list index to propose to
-    held_at: dict[str, Optional[str]] = {i: UNASSIGNED for i in instance.students}
-    holds: dict[str, list[str]] = {s: [] for s in instance.schools}
-    steps: list[DaStep] = []
-
-    proposers = tuple(i for i in instance.students if pref_lists[i])
-    while proposers:
-        proposals: dict[str, list[str]] = {}
-        for i in proposers:
-            proposals.setdefault(pref_lists[i][pointer[i]], []).append(i)
-
-        step_holds: dict[str, tuple[str, ...]] = {}
-        step_rejections: dict[str, tuple[str, ...]] = {}
-        for s, newcomers in proposals.items():
-            pool = holds[s] + newcomers
-            pool.sort(key=prio[s].__getitem__)
-            kept, rejected = pool[: capacity[s]], pool[capacity[s]:]
-            holds[s] = kept
-            for i in newcomers:
-                held_at[i] = s
-            for i in rejected:
-                held_at[i] = UNASSIGNED
-                pointer[i] += 1
-            step_holds[s] = tuple(kept)
-            if rejected:
-                step_rejections[s] = tuple(sorted(rejected, key=index))
-        steps.append(
-            DaStep(
-                proposers=proposers,
-                proposals={s: tuple(v) for s, v in proposals.items()},
-                holds=step_holds,
-                rejections=step_rejections,
-            )
-        )
-        proposers = tuple(sorted((i for rejected in step_rejections.values() for i in rejected
-                                  if pointer[i] < len(pref_lists[i])), key=index))
-
-    matching = Matching.of(held_at, instance)
-    return matching, DaTrace(tuple(steps))
+    seat, trace = _deferred_acceptance(instance, instance.int_view.lists)
+    return Matching.of_seats(instance, seat), trace
 
 
 def interrupters(trace: DaTrace) -> list[InterrupterPair]:
@@ -102,34 +116,23 @@ def interrupters(trace: DaTrace) -> list[InterrupterPair]:
 
     Student ``i`` interrupts school ``s`` if she tentatively held ``s`` from
     step t, was rejected from it at step t' > t, and some other student was
-    rejected from ``s`` at a step in [t, t'-1].
+    rejected from ``s`` at a step in [t, t'-1].  She holds the school she
+    last proposed to and proposes to each school once, so that is: the
+    school's last rejection before t' came no earlier than her proposal.
     """
-    accepted_at: dict[tuple[str, str], int] = {}
-    rejected_at: dict[tuple[str, str], int] = {}
-    rejections_by_school: dict[str, list[tuple[int, str]]] = {}
-    for t, step in enumerate(trace.steps, start=1):
-        for s, newcomers in step.proposals.items():
-            held = set(step.holds.get(s, ()))
-            for i in newcomers:
-                if i in held:
-                    accepted_at[(i, s)] = t
-        for s, rejected in step.rejections.items():
-            for i in rejected:
-                rejected_at[(i, s)] = t
-                rejections_by_school.setdefault(s, []).append((t, i))
-
-    pairs = []
-    for (i, s), t in accepted_at.items():
-        t_prime = rejected_at.get((i, s))
-        if t_prime is None:
-            continue
-        if any(
-            t <= r < t_prime and j != i
-            for r, j in rejections_by_school.get(s, ())
-        ):
-            pairs.append(InterrupterPair(i, s, t_prime))
-    pairs.sort(key=lambda p: p.rejection_step)
-    return pairs
+    since = [0] * len(trace.students)   # step of k's last proposal
+    order = [0] * len(trace.students)   # its place among all proposals
+    last_rejection = [0] * len(trace.schools)
+    pairs, proposed = [], count()
+    for t, (_, proposals, _, rejections) in enumerate(trace.waves, start=1):
+        for newcomers in proposals.values():
+            for k in newcomers:
+                since[k], order[k] = t, next(proposed)
+        for j, rejected in rejections.items():
+            pairs += [(t, order[k], k, j) for k in rejected if since[k] <= last_rejection[j]]
+            last_rejection[j] = t
+    pairs.sort()
+    return [InterrupterPair(trace.students[k], trace.schools[j], t) for t, _, k, j in pairs]
 
 
 def hopeless_students(trace: DaTrace) -> frozenset[str]:
@@ -141,12 +144,9 @@ def hopeless_students(trace: DaTrace) -> frozenset[str]:
     list is exhausted, the conceptual final step has no proposers and
     the answer is empty.
     """
-    if not trace.steps:
+    if not trace.waves or trace.waves[-1][3]:   # no step, or the last one rejected
         return frozenset()
-    last = trace.steps[-1]
-    if any(last.rejections.values()):
-        return frozenset()
-    return frozenset(last.proposers)
+    return frozenset(map(trace.students.__getitem__, trace.waves[-1][0]))   # its proposers
 
 
 @dataclass(frozen=True)
@@ -174,21 +174,21 @@ def eadam(instance: Instance, consenters: Iterable[str]) -> EadamResult:
     unknown = sorted(consent.difference(instance.students))
     if unknown:
         raise ValueError(f"consenters are not students of the instance: {unknown}")
-    current = instance
+    lists = list(instance.int_view.lists)   # a removal edits one student's list
     removals: list[tuple[InterrupterPair, ...]] = []
     traces: list[DaTrace] = []
     while True:
-        matching, trace = sosm(current)
+        seat, trace = _deferred_acceptance(instance, lists)
         traces.append(trace)
         consenting = [p for p in interrupters(trace) if p.student in consent]
         if not consenting:
-            return EadamResult(matching, tuple(removals), tuple(traces))
-        last_step = max(p.rejection_step for p in consenting)
+            return EadamResult(Matching.of_seats(instance, seat), tuple(removals), tuple(traces))
+        last_step = consenting[-1].rejection_step
         doomed = tuple(p for p in consenting if p.rejection_step == last_step)
         removals.append(doomed)
-        current = current.replace_prefs(
-            {p.student: current.prefs[p.student].without(p.school) for p in doomed}
-        )
+        for p in doomed:
+            k, j = instance.student_index[p.student], instance.school_index[p.school]
+            lists[k] = tuple(x for x in lists[k] if x != j)
 
 
 def ttc(instance: Instance) -> Matching:
@@ -211,7 +211,7 @@ def ttc(instance: Instance) -> Matching:
     steps over a run.
     """
     _require_strict(instance)
-    pref_lists = instance.strict_pref_lists
+    pref_lists = {i: instance.prefs[i].strict_sequence() for i in instance.students}
     prio_lists = {s: instance.prios[s].strict_sequence() for s in instance.schools}
     seats = dict(instance.capacity)
     student_at = dict.fromkeys(instance.students, 0)

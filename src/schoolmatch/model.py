@@ -46,7 +46,10 @@ class WeakOrder:
 
     @classmethod
     def strict(cls, items: Iterable[str]) -> "WeakOrder":
-        return cls(tuple((x,) for x in items))
+        items = tuple(items)   # set what __post_init__ would derive
+        order = object.__new__(cls)
+        vars(order).update(classes=tuple(zip(items)), is_strict=True, _items=items)
+        return order
 
     @classmethod
     def of(cls, classes: Iterable[Iterable[str]]) -> "WeakOrder":
@@ -73,15 +76,6 @@ class WeakOrder:
             raise ValueError("order has ties; run tie_break first")
         return self._items
 
-    def without(self, item: str) -> "WeakOrder":
-        """Drop one item, preserving the relative order of the rest."""
-        classes = []
-        for cl in self.classes:
-            kept = tuple(x for x in cl if x != item)
-            if kept:
-                classes.append(kept)
-        return WeakOrder(tuple(classes))
-
 
 # The two roles a WeakOrder plays; distinct names for readability only.
 PreferenceProfile = WeakOrder
@@ -92,6 +86,25 @@ def rank(profile: WeakOrder, item: Optional[str]) -> int:
     """Class index of ``item`` (1 = top); UNASSIGNED ranks just below all
     classes and an item off the list just below UNASSIGNED."""
     return profile.rank_map[item]
+
+
+@dataclass(frozen=True)
+class IntView:
+    """An instance on indices: student k's list of school indices, each
+    school's ``rank_map`` rank of each student k, the seat counts and, built
+    on first read, student k's rank of each school j (unassigned last, so
+    seat -1 indexes it).  Rows are shared between instances; never mutate
+    them."""
+
+    lists: list[tuple[int, ...]]
+    prio_rows: list[list[int]]
+    seats: list[int]
+    prefs: list[WeakOrder] = field(repr=False)
+    school_index: dict[str, int] = field(repr=False)
+
+    @cached_property
+    def pref_rows(self) -> list[list[int]]:
+        return [_rank_row(order, self.school_index) for order in self.prefs]
 
 
 @dataclass
@@ -134,13 +147,39 @@ class Instance:
         return {s: self.prios[s].rank_map for s in self.schools}
 
     @cached_property
-    def strict_pref_lists(self) -> dict[str, tuple[str, ...]]:
-        return {i: self.prefs[i].strict_sequence() for i in self.students}
+    def int_view(self) -> IntView:
+        index, prefs = self.school_index, [self.prefs[i] for i in self.students]
+        return IntView(
+            [tuple(map(index.__getitem__, order.items())) for order in prefs],
+            [_rank_row(self.prios[s], self.student_index) for s in self.schools],
+            [self.capacity[s] for s in self.schools], prefs, index,
+        )
 
     def replace_prefs(self, new_prefs: Mapping[str, PreferenceProfile]) -> "Instance":
+        """A built ``int_view`` carries over, with only the replaced
+        students' lists rebuilt."""
         prefs = dict(self.prefs)
         prefs.update(new_prefs)
-        return Instance(self.students, self.schools, dict(self.capacity), prefs, self.prios)
+        out = Instance(self.students, self.schools, dict(self.capacity), prefs, self.prios)
+        view = vars(self).get("int_view")
+        if view is not None:
+            lists, orders, index = list(view.lists), list(view.prefs), self.school_index
+            for i, order in new_prefs.items():
+                k = self.student_index[i]
+                lists[k], orders[k] = tuple(map(index.__getitem__, order.items())), order
+            out.int_view = IntView(lists, view.prio_rows, view.seats, orders, index)
+        return out
+
+
+def _rank_row(order: WeakOrder, index: Mapping[str, int]) -> list[int]:
+    """``order.rank_map`` as a list by item index, with unassigned last."""
+    n = len(order.classes)
+    row = [n + 2] * len(index) + [n + 1]
+    ranks = range(1, n + 1) if order.is_strict else [
+        r for r, cl in enumerate(order.classes, start=1) for _ in cl]
+    for k, r in zip(map(index.__getitem__, order.items()), ranks):
+        row[k] = r
+    return row
 
 
 @dataclass(frozen=True)
@@ -156,6 +195,12 @@ class Matching:
     @classmethod
     def of(cls, assignment: Mapping[str, Optional[str]], instance: Instance) -> "Matching":
         return cls(tuple((i, assignment.get(i, UNASSIGNED)) for i in instance.students))
+
+    @classmethod
+    def of_seats(cls, instance: Instance, seats: Iterable[int]) -> "Matching":
+        """From a school index per student, -1 for unassigned."""
+        names = (*instance.schools, UNASSIGNED)
+        return cls(tuple(zip(instance.students, map(names.__getitem__, seats))))
 
     def __getitem__(self, student: str) -> Optional[str]:
         return self._lookup[student]

@@ -1,9 +1,9 @@
 """Exhaustive ground truth for small instances.
 
 Every search runs over *seat vectors*: one school index per student, -1
-for unassigned, never filling a school past its capacity.  Each call
-builds integer rank rows once from ``WeakOrder.rank_map`` and judges
-vectors on them; a ``Matching`` is built only for a vector it returns.
+for unassigned, never filling a school past its capacity.  Vectors are
+judged on the integer rank rows of ``Instance.int_view``; a ``Matching``
+is built only for a vector it returns.
 Intentionally brute force; size bounds are enforced up front."""
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from operator import getitem
 from typing import Iterator, Sequence
 
 from .errors import InstanceTooLargeError
-from .model import Instance, Matching, UNASSIGNED
+from .model import Instance, Matching
 
 
 @dataclass(frozen=True)
@@ -60,22 +60,6 @@ def _seat_vectors(
     return extend(0, ()) if allowed else iter(((),))
 
 
-def _pref_rows(instance: Instance) -> list[list[int]]:
-    """Each student's rank of each school by index, then of unassigned, so
-    that seat -1 indexes the last entry."""
-    seats = (*instance.schools, UNASSIGNED)
-    return [list(map(instance.pref_rank[i].__getitem__, seats)) for i in instance.students]
-
-
-def _seats(instance: Instance) -> list[int]:
-    return [instance.capacity[s] for s in instance.schools]
-
-
-def _to_matching(instance: Instance, vector: tuple[int, ...]) -> Matching:
-    names = (*instance.schools, UNASSIGNED)
-    return Matching(tuple(zip(instance.students, map(names.__getitem__, vector))))
-
-
 def enumerate_matchings(
     instance: Instance, bound: OracleBound = OracleBound()
 ) -> Iterator[Matching]:
@@ -83,8 +67,8 @@ def enumerate_matchings(
     respects capacities, each exactly once."""
     check_bound(instance, bound)
     every = tuple(range(-1, len(instance.schools)))
-    vectors = _seat_vectors([every] * len(instance.students), _seats(instance))
-    return (_to_matching(instance, v) for v in vectors)
+    vectors = _seat_vectors([every] * len(instance.students), instance.int_view.seats)
+    return (Matching.of_seats(instance, v) for v in vectors)
 
 
 def stable_set(instance: Instance, bound: OracleBound = OracleBound()) -> set[Matching]:
@@ -93,10 +77,8 @@ def stable_set(instance: Instance, bound: OracleBound = OracleBound()) -> set[Ma
     none ranks above her seat a school that has a free seat or whose
     cutoff (the worst priority among its holders) she beats."""
     check_bound(instance, bound)
-    students, schools = instance.students, instance.schools
-    m = len(schools)
-    seats = _seats(instance)
-    prio = [list(map(instance.prio_rank[s].__getitem__, students)) for s in schools]
+    students, view = instance.students, instance.int_view
+    m, seats, prio = len(instance.schools), view.seats, view.prio_rows
     free_cutoff = len(students) + 3   # above any rank, off-list ones included
     # above[k][j]: (school, student k's priority there) for each school she
     # ranks above seat j; None when she ranks seat j below having none.
@@ -104,7 +86,7 @@ def stable_set(instance: Instance, bound: OracleBound = OracleBound()) -> set[Ma
         [None if row[j] > row[-1] else
          tuple((t, prio[t][k]) for t in range(m) if row[t] < row[j])
          for j in range(m + 1)]
-        for k, row in enumerate(_pref_rows(instance))
+        for k, row in enumerate(view.pref_rows)
     ]
 
     def stable(vector: tuple[int, ...]) -> bool:
@@ -129,7 +111,7 @@ def stable_set(instance: Instance, bound: OracleBound = OracleBound()) -> set[Ma
 
     every = tuple(range(-1, m))
     vectors = _seat_vectors([every] * len(students), seats)
-    return {_to_matching(instance, v) for v in vectors if stable(v)}
+    return {Matching.of_seats(instance, v) for v in vectors if stable(v)}
 
 
 def efficient_dominations_of(
@@ -139,15 +121,13 @@ def efficient_dominations_of(
     undominated.  Only the seat vectors that give each student a seat she
     ranks no worse are visited: those that dominate, equal or tie it."""
     check_bound(instance, bound)
-    rows = _pref_rows(instance)
-    index = instance.school_index
-    ref = tuple(-1 if matching[i] is UNASSIGNED else index[matching[i]]
-                for i in instance.students)
+    rows, index = instance.int_view.pref_rows, instance.school_index
+    ref = tuple(index.get(matching[i], -1) for i in instance.students)   # -1: unassigned
     ref_profile = tuple(map(getitem, rows, ref))
     allowed = [tuple(j for j in range(-1, len(row) - 1) if row[j] <= r)
                for row, r in zip(rows, ref_profile)]
     by_profile: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for v in _seat_vectors(allowed, _seats(instance)):
+    for v in _seat_vectors(allowed, instance.int_view.seats):
         p = tuple(map(getitem, rows, v))
         if p != ref_profile or v == ref:
             by_profile.setdefault(p, []).append(v)
@@ -157,5 +137,5 @@ def efficient_dominations_of(
     out = set()
     for k, p in enumerate(profiles):
         if not any(all(map(int.__le__, q, p)) for q in profiles[:k]):
-            out.update(_to_matching(instance, v) for v in by_profile[p])
+            out.update(Matching.of_seats(instance, v) for v in by_profile[p])
     return out

@@ -23,8 +23,8 @@ def _parse_order(text: str, lineno: int) -> WeakOrder:
     chunks = text.split(">")
     if "=" in text:
         order = WeakOrder(tuple(tuple(map(str.strip, c.split("="))) for c in chunks))
-    else:   # zip over one iterable yields the 1-tuples of a strict order
-        order = WeakOrder(tuple(zip(map(str.strip, chunks))))
+    else:
+        order = WeakOrder.strict(map(str.strip, chunks))
     if "" in order.items():
         raise ParseError("empty id in ranking", lineno)
     return order

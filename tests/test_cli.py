@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from schoolmatch import sosm, textio, ttc
 from schoolmatch.cli import main
+from schoolmatch.model import WeakOrder
+from schoolmatch.strategy import random_strict_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -83,6 +87,29 @@ def test_trace_table(capsys):
     assert lines[-1].startswith("outcome:")
 
 
+GOLDEN_COMMANDS = {
+    "trace": ["trace"],
+    "trace-json": ["--format", "json-like", "trace"],
+    "eadam-json": ["--format", "json-like", "solve", "--mechanism", "eadam"],
+}
+GOLDEN = json.loads((FIXTURES / "golden_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_trace_boundary_matches_golden_output(capsys, key):
+    """``golden_outputs.json`` holds the stdout of each command on each
+    fixture, keyed "<fixture> <command>"; it must not change by a byte."""
+    name, command = key.split()
+    code, out = run(capsys, *GOLDEN_COMMANDS[command], fix(name))
+    assert code == 0
+    assert out == GOLDEN[key]
+
+
+def test_golden_outputs_cover_every_fixture():
+    keys = {f"{p.stem} {c}" for p in FIXTURES.glob("scp*.txt") for c in GOLDEN_COMMANDS}
+    assert set(GOLDEN) == keys
+
+
 def test_enumerate_tadam(capsys):
     code, report = run_json(capsys, "enumerate", "--what", "tadam", fix("scp2"))
     assert code == 0
@@ -115,6 +142,28 @@ def test_analyze(tmp_path, capsys):
     assert report["dominates_baseline"] is True
     assert report["efficient"] is True
     assert report["reasonably_fair"] is True
+
+
+def test_analyze_strict_instance_past_the_oracle_bound(tmp_path, capsys):
+    """Ten students: reasonable fairness is judged against DA, so the
+    report answers; a weak instance that size keeps the oracle's error."""
+    inst = random_strict_instance(random.Random(1), 10, 10)
+    matching = ttc(inst)
+    path, mpath = tmp_path / "inst.txt", tmp_path / "m.txt"
+    path.write_text(textio.serialize_instance(inst))
+    mpath.write_text(textio.serialize_matching(matching))
+    code, report = run_json(capsys, "analyze", "--matching", str(mpath), str(path))
+    assert code == 0
+    da, ranks = sosm(inst)[0], inst.pref_rank
+    assert report["reasonably_fair"] is all(
+        ranks[i][matching[i]] <= ranks[i][da[i]] for i in inst.students)
+
+    weak = inst.replace_prefs({"i1": WeakOrder.of([inst.schools[:2], inst.schools[2:]])})
+    path.write_text(textio.serialize_instance(weak))
+    code = main(["analyze", "--matching", str(mpath), str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: 10 students exceed") and captured.err.count("\n") == 1
 
 
 def test_graph_dot(capsys):

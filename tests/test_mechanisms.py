@@ -5,7 +5,7 @@ import pytest
 
 from schoolmatch import Matching, is_stable, preference_index, sosm, ttc
 from schoolmatch.mechanisms import (
-    DaStep, DaTrace, EadamResult, eadam, hopeless_students, interrupters,
+    DaStep, InterrupterPair, eadam, hopeless_students, interrupters,
 )
 from schoolmatch.model import UNASSIGNED, WeakOrder, Instance, tie_break
 from schoolmatch.strategy import random_strict_instance
@@ -165,12 +165,14 @@ def test_ttc_keeps_placing_after_a_list_runs_out():
 
 
 # Reference implementations: deferred acceptance that rescans every student
-# at every step, TTC that rescans every list, takes a minimum over all
-# pointing students and resolves all cycles at every round, and EADAM on
-# top of the former.
+# at every step and names its steps as it goes, interrupters and hopeless
+# students read from those named steps, TTC that rescans every list, takes
+# a minimum over all pointing students and resolves all cycles at every
+# round, and EADAM on top of the rescanning DA and named interrupters.
 
 def rescanning_sosm(inst):
-    lists, prio = inst.strict_pref_lists, inst.prio_rank
+    lists = {i: inst.prefs[i].strict_sequence() for i in inst.students}
+    prio = inst.prio_rank
     pointer = dict.fromkeys(inst.students, 0)
     held_at = dict.fromkeys(inst.students, UNASSIGNED)
     holds = {s: [] for s in inst.schools}
@@ -179,7 +181,7 @@ def rescanning_sosm(inst):
         proposers = tuple(i for i in inst.students
                           if held_at[i] is UNASSIGNED and pointer[i] < len(lists[i]))
         if not proposers:
-            return Matching.of(held_at, inst), DaTrace(tuple(steps))
+            return Matching.of(held_at, inst), tuple(steps)
         proposals, kept_at, rejected_at = {}, {}, {}
         for i in proposers:
             proposals.setdefault(lists[i][pointer[i]], []).append(i)
@@ -197,6 +199,39 @@ def rescanning_sosm(inst):
                             kept_at, rejected_at))
 
 
+def step_interrupters(steps):
+    """Student ``i`` interrupts school ``s`` if she tentatively held ``s``
+    from step t, was rejected from it at step t' > t, and some other
+    student was rejected from ``s`` at a step in [t, t'-1]."""
+    accepted_at, rejected_at, rejections_by_school = {}, {}, {}
+    for t, step in enumerate(steps, start=1):
+        for s, newcomers in step.proposals.items():
+            held = set(step.holds.get(s, ()))
+            for i in newcomers:
+                if i in held:
+                    accepted_at[(i, s)] = t
+        for s, rejected in step.rejections.items():
+            for i in rejected:
+                rejected_at[(i, s)] = t
+                rejections_by_school.setdefault(s, []).append((t, i))
+    pairs = []
+    for (i, s), t in accepted_at.items():
+        t_prime = rejected_at.get((i, s))
+        if t_prime is None:
+            continue
+        if any(t <= r < t_prime and j != i for r, j in rejections_by_school.get(s, ())):
+            pairs.append(InterrupterPair(i, s, t_prime))
+    pairs.sort(key=lambda p: p.rejection_step)
+    return pairs
+
+
+def step_hopeless(steps):
+    """Proposers of the final step, if it rejected nobody."""
+    if not steps or any(steps[-1].rejections.values()):
+        return frozenset()
+    return frozenset(steps[-1].proposers)
+
+
 def rescanning_ttc(inst):
     seats = dict(inst.capacity)
     unassigned = list(inst.students)
@@ -204,7 +239,7 @@ def rescanning_ttc(inst):
     while True:
         student_pt = {}
         for i in unassigned:
-            choices = [s for s in inst.strict_pref_lists[i] if seats[s] > 0]
+            choices = [s for s in inst.prefs[i].strict_sequence() if seats[s] > 0]
             if choices:
                 student_pt[i] = choices[0]
         if not student_pt:
@@ -240,17 +275,18 @@ def _functional_cycles(student_pt, school_pt):
 
 
 def rescanning_eadam(inst, consent):
+    """The matching, the removals of each round and the steps of each round."""
     removals, traces = [], []
     while True:
-        matching, trace = rescanning_sosm(inst)
-        traces.append(trace)
-        pairs = [p for p in interrupters(trace) if p.student in consent]
+        matching, steps = rescanning_sosm(inst)
+        traces.append(steps)
+        pairs = [p for p in step_interrupters(steps) if p.student in consent]
         if not pairs:
-            return EadamResult(matching, tuple(removals), tuple(traces))
+            return matching, tuple(removals), tuple(traces)
         last = max(p.rejection_step for p in pairs)
         removals.append(tuple(p for p in pairs if p.rejection_step == last))
-        inst = inst.replace_prefs(
-            {p.student: inst.prefs[p.student].without(p.school) for p in removals[-1]})
+        inst = inst.replace_prefs({p.student: WeakOrder.strict(
+            [s for s in inst.prefs[p.student].items() if s != p.school]) for p in removals[-1]})
 
 
 def coarse_instance(rng, students=(2, 10), schools=(1, 6), max_capacity=3, truncate=0.25):
@@ -290,13 +326,15 @@ def test_pointer_loops_match_rescanning_references():
     instances += [coarse_instance(wide, (50, 200), (10, 60), 25) for _ in range(20)]
     short = truncated = removed = 0
     for inst in instances:
-        assert sosm(inst) == rescanning_sosm(inst)
+        matching, trace = sosm(inst)
+        assert (matching, trace.steps) == rescanning_sosm(inst)
+        assert interrupters(trace) == step_interrupters(trace.steps)
+        assert hopeless_students(trace) == step_hopeless(trace.steps)
         assert ttc(inst) == rescanning_ttc(inst)
         consent = frozenset(i for i in inst.students if rng.random() < 0.8)
         result = eadam(inst, consent)
-        reference = rescanning_eadam(inst, consent)
-        assert (result.matching, result.removals, result.traces) == \
-            (reference.matching, reference.removals, reference.traces)
+        assert (result.matching, result.removals, tuple(t.steps for t in result.traces)) \
+            == rescanning_eadam(inst, consent)
         short += sum(inst.capacity.values()) < len(inst.students)
         truncated += any(len(inst.prefs[i].classes) < len(inst.schools) for i in inst.students)
         removed += bool(result.removals)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from schoolmatch import (
-    Matching, dominates, is_efficient, is_reasonably_fair, is_stable, preference_index, sosm,
+    Matching, dominates, is_efficient, is_reasonably_fair, is_stable, preference_index, sosm, ttc,
 )
 from schoolmatch import oracle, trading
 from schoolmatch.errors import InstanceTooLargeError
@@ -162,6 +162,37 @@ def test_seat_vector_oracle_matches_brute_force():
         seen["dominated"] += not eff
         seen["unfair"] += not fair
     assert min(seen.values()) > 100, seen
+
+
+def test_reasonable_fairness_by_da_matches_stable_set():
+    """On strict instances ``is_reasonably_fair`` compares with the DA seat
+    only; the oracle's whole stable set must give the same verdict.  1-6
+    students, 1-4 schools of 1-2 seats, 40 % of lists truncated; each
+    instance judges its DA, its TTC and a random seat assignment."""
+    rng = random.Random(13)
+    seen = collections.Counter()
+    for _ in range(2000):
+        n, m = rng.randint(1, 6), rng.randint(1, 4)
+        students = tuple(f"i{k}" for k in range(1, n + 1))
+        schools = tuple(f"s{k}" for k in range(1, m + 1))
+        prefs = {}
+        for i in students:
+            order, truncated = rng.sample(schools, m), rng.random() < 0.4
+            prefs[i] = WeakOrder.strict(order[: rng.randint(0, m)] if truncated else order)
+        inst = Instance(
+            students, schools, {s: rng.randint(1, 2) for s in schools}, prefs,
+            {s: WeakOrder.strict(rng.sample(students, n)) for s in schools},
+        )
+        seats = [s for s in schools for _ in range(inst.capacity[s])] + [None] * n
+        rng.shuffle(seats)
+        stable, ranks = oracle.stable_set(inst), inst.pref_rank
+        for ref in (sosm(inst)[0], ttc(inst), Matching.of(dict(zip(students, seats)), inst)):
+            fair = not any(ranks[i][t[i]] < ranks[i][ref[i]] for t in stable for i in students)
+            assert is_reasonably_fair(inst, ref) == fair
+            seen[fair] += 1
+        seen["shortage"] += sum(inst.capacity.values()) < n
+        seen["truncated"] += any(len(inst.prefs[i].classes) < m for i in students)
+    assert min(seen.values()) > 300, seen
 
 
 def test_graph_route_matches_oracle():
