@@ -168,9 +168,13 @@ def _cmd_trace(args, out) -> int:
     matching, trace = sosm(strict)
     if args.format == "json-like":
         report = {
-            "steps": [  # tuples dump as lists
-                {"step": t, "proposals": step.proposals, "holds": step.holds,
-                 "rejections": step.rejections}
+            "steps": [
+                {
+                    "step": t,
+                    "proposals": {s: list(v) for s, v in step.proposals.items()},
+                    "holds": {s: list(v) for s, v in step.holds.items()},
+                    "rejections": {s: list(v) for s, v in step.rejections.items()},
+                }
                 for t, step in enumerate(trace.steps, start=1)
             ],
             "matching": _matching_dict(matching),
@@ -183,10 +187,14 @@ def _cmd_trace(args, out) -> int:
     rows = []
     for t, step in enumerate(trace.steps, start=1):
         row = [str(t)]
-        for s in strict.schools:   # new proposers first
-            new, rejected = step.proposals.get(s, ()), step.rejections.get(s, ())
-            row.append(", ".join([f"-{i}-" if i in rejected else i for i in new]
-                                 + [f"-{i}-" for i in rejected if i not in new]))
+        for s in strict.schools:
+            cell = []
+            for i in step.proposals.get(s, ()):  # new proposers first
+                cell.append(f"-{i}-" if i in step.rejections.get(s, ()) else i)
+            for i in step.rejections.get(s, ()):
+                if i not in step.proposals.get(s, ()):
+                    cell.append(f"-{i}-")
+            row.append(", ".join(cell))
         rows.append(row)
     widths = [max(len(r[k]) for r in [header] + rows) for k in range(len(header))]
     for row in [header] + rows:
@@ -404,32 +412,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default text)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    on_file = argparse.ArgumentParser(add_help=False)   # every command but strategy
-    on_file.add_argument("--tiebreak", type=int, default=0)
-    on_file.add_argument("file")
 
-    p = sub.add_parser("solve", parents=[on_file], help="run one mechanism on an instance file")
+    p = sub.add_parser("solve", help="run one mechanism on an instance file")
     p.add_argument("--mechanism", required=True,
                    choices=["da", "ttc", "eadam", "tadam", "cim"])
     p.add_argument("--consent", help="comma-separated students or 'all'")
     p.add_argument("--policy", default="canonical", help="'canonical' or 'seed:N'")
+    p.add_argument("--tiebreak", type=int, default=0)
     p.add_argument("--coalition", help="coalition file of 'loop i1 i2 ...' lines")
+    p.add_argument("file")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("trace", parents=[on_file], help="deferred-acceptance step table")
+    p = sub.add_parser("trace", help="deferred-acceptance step table")
+    p.add_argument("--tiebreak", type=int, default=0)
+    p.add_argument("file")
     p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser("enumerate", parents=[on_file], help="enumerate matchings of a kind")
+    p = sub.add_parser("enumerate", help="enumerate matchings of a kind")
     p.add_argument("--what", required=True,
                    choices=["stable", "efficient-dominations", "tadam", "coalitions"])
+    p.add_argument("--tiebreak", type=int, default=0)
+    p.add_argument("file")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("analyze", parents=[on_file],
-                       help="analyze a matching file against an instance")
+    p = sub.add_parser("analyze", help="analyze a matching file against an instance")
     p.add_argument("--matching", required=True)
+    p.add_argument("--tiebreak", type=int, default=0)
+    p.add_argument("file")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("graph", parents=[on_file], help="DOT export of the baseline trading graph")
+    p = sub.add_parser("graph", help="DOT export of the baseline trading graph")
+    p.add_argument("--tiebreak", type=int, default=0)
+    p.add_argument("file")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("strategy", help="strategic-behavior sweeps")

@@ -91,20 +91,11 @@ def rank(profile: WeakOrder, item: Optional[str]) -> int:
 @dataclass(frozen=True)
 class IntView:
     """An instance on indices: student k's list of school indices, each
-    school's ``rank_map`` rank of each student k, the seat counts and, built
-    on first read, student k's rank of each school j (unassigned last, so
-    seat -1 indexes it).  Rows are shared between instances; never mutate
-    them."""
+    school's ``rank_map`` rank of each student k, and the seat counts."""
 
     lists: list[tuple[int, ...]]
     prio_rows: list[list[int]]
     seats: list[int]
-    prefs: list[WeakOrder] = field(repr=False)
-    school_index: dict[str, int] = field(repr=False)
-
-    @cached_property
-    def pref_rows(self) -> list[list[int]]:
-        return [_rank_row(order, self.school_index) for order in self.prefs]
 
 
 @dataclass
@@ -148,27 +139,22 @@ class Instance:
 
     @cached_property
     def int_view(self) -> IntView:
-        index, prefs = self.school_index, [self.prefs[i] for i in self.students]
+        index = self.school_index
         return IntView(
-            [tuple(map(index.__getitem__, order.items())) for order in prefs],
+            [tuple(map(index.__getitem__, self.prefs[i].items())) for i in self.students],
             [_rank_row(self.prios[s], self.student_index) for s in self.schools],
-            [self.capacity[s] for s in self.schools], prefs, index,
+            [self.capacity[s] for s in self.schools],
         )
 
+    @cached_property
+    def pref_rows(self) -> list[list[int]]:
+        """Student k's rank of each school j, then of unassigned (seat -1)."""
+        return [_rank_row(self.prefs[i], self.school_index) for i in self.students]
+
     def replace_prefs(self, new_prefs: Mapping[str, PreferenceProfile]) -> "Instance":
-        """A built ``int_view`` carries over, with only the replaced
-        students' lists rebuilt."""
         prefs = dict(self.prefs)
         prefs.update(new_prefs)
-        out = Instance(self.students, self.schools, dict(self.capacity), prefs, self.prios)
-        view = vars(self).get("int_view")
-        if view is not None:
-            lists, orders, index = list(view.lists), list(view.prefs), self.school_index
-            for i, order in new_prefs.items():
-                k = self.student_index[i]
-                lists[k], orders[k] = tuple(map(index.__getitem__, order.items())), order
-            out.int_view = IntView(lists, view.prio_rows, view.seats, orders, index)
-        return out
+        return Instance(self.students, self.schools, dict(self.capacity), prefs, self.prios)
 
 
 def _rank_row(order: WeakOrder, index: Mapping[str, int]) -> list[int]:

@@ -2,9 +2,9 @@
 
 Every search runs over *seat vectors*: one school index per student, -1
 for unassigned, never filling a school past its capacity.  Vectors are
-judged on the integer rank rows of ``Instance.int_view``; a ``Matching``
-is built only for a vector it returns.
-Intentionally brute force; size bounds are enforced up front."""
+judged on the instance's integer rank rows; a ``Matching`` is built only
+for a vector it returns.  Intentionally brute force; size bounds are
+enforced up front."""
 
 from __future__ import annotations
 
@@ -86,7 +86,7 @@ def stable_set(instance: Instance, bound: OracleBound = OracleBound()) -> set[Ma
         [None if row[j] > row[-1] else
          tuple((t, prio[t][k]) for t in range(m) if row[t] < row[j])
          for j in range(m + 1)]
-        for k, row in enumerate(view.pref_rows)
+        for k, row in enumerate(instance.pref_rows)
     ]
 
     def stable(vector: tuple[int, ...]) -> bool:
@@ -121,7 +121,7 @@ def efficient_dominations_of(
     undominated.  Only the seat vectors that give each student a seat she
     ranks no worse are visited: those that dominate, equal or tie it."""
     check_bound(instance, bound)
-    rows, index = instance.int_view.pref_rows, instance.school_index
+    rows, index = instance.pref_rows, instance.school_index
     ref = tuple(index.get(matching[i], -1) for i in instance.students)   # -1: unassigned
     ref_profile = tuple(map(getitem, rows, ref))
     allowed = [tuple(j for j in range(-1, len(row) - 1) if row[j] <= r)

@@ -1,3 +1,5 @@
+import random
+
 from schoolmatch import (
     Instance,
     Matching,
@@ -7,6 +9,30 @@ from schoolmatch import (
     tie_break,
     validate,
 )
+from test_oracle import _weak_order
+
+
+def test_integer_rows_follow_rank_map():
+    """The integer view and the students' rank rows hold exactly the ranks
+    of each order's ``rank_map``, on weak and truncated orders too."""
+    rng = random.Random(3)
+    for _ in range(500):
+        n, m = rng.randint(0, 5), rng.randint(1, 4)
+        students = tuple(f"i{k}" for k in range(1, n + 1))
+        schools = tuple(f"s{k}" for k in range(1, m + 1))
+        inst = Instance(
+            students, schools, {s: rng.randint(1, 2) for s in schools},
+            {i: _weak_order(rng, schools, True) for i in students},
+            {s: _weak_order(rng, students) for s in schools},
+        )
+        view = inst.int_view
+        assert view.lists == [tuple(schools.index(s) for s in inst.prefs[i].items())
+                              for i in students]
+        assert [row[:n] for row in view.prio_rows] == [
+            [rank(inst.prios[s], i) for i in students] for s in schools]
+        assert view.seats == [inst.capacity[s] for s in schools]
+        assert inst.pref_rows == [
+            [rank(inst.prefs[i], s) for s in (*schools, UNASSIGNED)] for i in students]
 
 
 def test_validate_ok(scp1):
