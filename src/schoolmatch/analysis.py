@@ -5,12 +5,14 @@ efficiency, and reasonable fairness."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from . import oracle
 from .mechanisms import sosm
 from .model import Instance, Matching, UNASSIGNED, rank
-from .trading import MatchGraph, build_graph, has_trading_clique
+from .trading import MatchGraph, SeatGraph, has_trading_clique
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,11 @@ def _claims(instance: Instance, matching: Matching):
         own = order.rank_map[seat]
         if own > order.rank_map[UNASSIGNED]:
             yield i, UNASSIGNED, ()
-        for cl in order.classes[: own - 1]:
-            for s in cl:
-                if prio_rank[s][i] < cutoff[s]:
-                    yield i, s, holders[s]
+        better = (order.items()[: own - 1] if order.is_strict
+                  else chain.from_iterable(order.classes[: own - 1]))
+        for s in better:
+            if prio_rank[s][i] < cutoff[s]:
+                yield i, s, holders[s]
 
 
 def priority_violations(instance: Instance, matching: Matching) -> list[ViolationRecord]:
@@ -65,13 +68,8 @@ def priority_violations(instance: Instance, matching: Matching) -> list[Violatio
         for h in held
         if prio_rank[s][victim] < prio_rank[s][h]
     ]
-    records.sort(
-        key=lambda r: (
-            instance.school_index[r.school],
-            instance.student_index[r.victim],
-            instance.student_index[r.violator],
-        )
-    )
+    s_index, i_index = instance.school_index, instance.student_index
+    records.sort(key=lambda r: (s_index[r.school], i_index[r.victim], i_index[r.violator]))
     return records
 
 
@@ -97,37 +95,31 @@ def dominates(instance: Instance, a: Matching, b: Matching) -> bool:
 
 
 def is_efficient(instance: Instance, matching: Matching) -> bool:
-    """True iff no matching dominates ``matching``: its trading graph, plus
-    a vacancy vertex, has no cycle through a weight-1 edge.  A student
-    points to the vacancy when a school with a free seat, or being
-    unassigned, ranks no worse than her seat (weight 1 if strictly better);
-    the vacancy points to every student.
+    """True iff no matching dominates ``matching``: its :class:`SeatGraph`,
+    plus a vacancy vertex, has no cycle through a weight-1 edge.  Each
+    group with a free seat (being unassigned always has one) points to the
+    vacancy, and the vacancy to every group.
 
     The test is exact for every matching: individually rational or not,
     dominating DA or not, leaving a preferred seat free or not.  Such a
-    cycle is an improvement: each student on it takes the seat of the one
-    she points to, one pointing to the vacancy takes her free seat (or
-    none), and the seat of the one the vacancy points to falls vacant.
-    Conversely, given a dominating matching, point each student who moves
-    at one who leaves the school (or none) she enters, no two at the same
-    one, or, once those run out, at the vacancy: that school had a free
-    seat, as the dominating matching fits its capacity.  The walk from a
-    student who is strictly better off starts on a weight-1 edge and, no
-    two pointing alike, returns to her or reaches the vacancy, which
-    points to her.
+    cycle is an improvement: each student on it takes a seat of the group
+    she points to, from the holder next on the cycle or, where the cycle
+    passes the vacancy, a free one, and the seat of the holder the vacancy
+    leads to falls vacant.  Conversely, given a dominating matching, point
+    each student who moves at one who leaves the school (or none) she
+    enters, no two at the same one, or, once those run out, at the
+    vacancy: that school had a free seat, as the dominating matching fits
+    its capacity.  The walk from a student who is strictly better off
+    starts on a weight-1 edge and, no two pointing alike, returns to her
+    or reaches the vacancy, which leads to her.
     """
-    graph = build_graph(instance, matching)
-    vacancy = object()   # a vertex no student id equals
-    fill, capacity = matching.fill_counts(), instance.capacity
-    free = [s for s in instance.schools if fill.get(s, 0) < capacity[s]] + [UNASSIGNED]
-    weights = graph.weights
-    for i in instance.students:
-        ranks = instance.pref_rank[i]
-        best, own = min(map(ranks.__getitem__, free)), ranks[matching[i]]
-        if best <= own:
-            weights[(i, vacancy)] = int(best < own)
-        weights[(vacancy, i)] = 0
-    return not has_trading_clique(MatchGraph((*graph.vertices, vacancy), weights))
+    seats = SeatGraph(instance, matching.seats(instance))
+    graph, n, m = seats.match_graph(), len(instance.students), len(instance.schools)
+    vacancy, fill = n + m + 1, Counter(seats.seat)
+    free = [g for g, s in enumerate(instance.schools) if fill[g] < instance.capacity[s]] + [m]
+    graph.weights.update(((n + g, vacancy), 0) for g in free)
+    graph.weights.update(((vacancy, n + g), 0) for g in range(m + 1))
+    return not has_trading_clique(MatchGraph((*graph.vertices, vacancy), graph.weights))
 
 
 def is_reasonably_fair(

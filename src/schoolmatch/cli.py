@@ -297,15 +297,12 @@ def _parse_family(spec: str) -> strategy.RandomProblemFamily:
     n_classes, per = int(parts[0]), int(parts[1])
     cap = int(parts[2]) if len(parts) == 3 else 1
     schools = [f"s{k}" for k in range(1, n_classes * per + 1)]
-    classes = tuple(
-        tuple(schools[c * per:(c + 1) * per]) for c in range(n_classes)
-    )
+    classes = tuple(tuple(schools[c * per:(c + 1) * per]) for c in range(n_classes))
     partition = strategy.QualityPartition(classes)
     students = tuple(f"i{k}" for k in range(1, n_classes * per * cap + 1))
     truth = strategy.WeakOrder.strict(schools)
-    return strategy.RandomProblemFamily(
-        partition, students, students[0], truth, (cap,) * n_classes
-    )
+    return strategy.RandomProblemFamily(partition, students, students[0], truth,
+                                        (cap,) * n_classes)
 
 
 def _write_counterexample(instance: Instance, seed: int, case: int, tag: str) -> str:
@@ -317,10 +314,7 @@ def _write_counterexample(instance: Instance, seed: int, case: int, tag: str) ->
 
 def _cmd_strategy(args, out) -> int:
     rng = random.Random(args.seed)
-    mechs = {
-        "da": strategy.mechanism_by_name("da"),
-        "tadam": strategy.mechanism_by_name("tadam"),
-    }
+    mechs = {name: strategy.mechanism_by_name(name) for name in ("da", "tadam")}
 
     if args.check == "dominance":
         family = _parse_family(args.family or "2x2")
@@ -393,12 +387,8 @@ def _cmd_strategy(args, out) -> int:
         if args.file:
             break
 
-    report = {
-        "check": args.check,
-        "cases": cases,
-        "failures": len(failures),
-        "counterexample_files": failures,
-    }
+    report = {"check": args.check, "cases": cases, "failures": len(failures),
+              "counterexample_files": failures}
     _emit(report, args.format, out)
     return 1 if failures else 0
 

@@ -71,11 +71,8 @@ def accomplice_set(
     """
     _check_loops(instance, baseline, loops)
     links = list(_loop_links(loops))
-    displaced: dict[str, frozenset[str]] = {}
-    for i in instance.students:
-        moved = _displaced(instance, baseline, links, i)
-        if moved:
-            displaced[i] = moved
+    displaced = {i: moved for i in instance.students
+                 if (moved := _displaced(instance, baseline, links, i))}
     return tuple(displaced), displaced
 
 
@@ -137,12 +134,9 @@ def run_coalition(
     school and everybody else kept theirs.
     """
     baseline, _ = sosm(instance)
-    falsified = {
-        i: falsified_profile(
-            instance, baseline, i, coalition.displaced.get(i, frozenset()), seed
-        )
-        for i in coalition.accomplices
-    }
+    falsified = {i: falsified_profile(instance, baseline, i,
+                                      coalition.displaced.get(i, frozenset()), seed)
+                 for i in coalition.accomplices}
     outcome, _ = sosm(instance.replace_prefs(falsified))
 
     cabal = coalition.cabal

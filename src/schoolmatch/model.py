@@ -11,9 +11,10 @@ ordered tuple of indifference classes, earlier classes preferred.  Its
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 UNASSIGNED = None
@@ -27,28 +28,25 @@ class _RankTable(dict):
         return self[UNASSIGNED] + 1
 
 
-@dataclass(frozen=True)
 class WeakOrder:
     """An ordered partition of items into indifference classes.
 
     ``classes[0]`` is the most preferred class.  Order within a class is
-    kept as given (it carries no meaning beyond determinism).
+    kept as given (it carries no meaning beyond determinism).  A strict
+    order keeps only its items and builds ``classes`` on first read.
+    Treated as immutable; orders with equal classes are equal.
     """
 
-    classes: tuple[tuple[str, ...], ...]
-    # Set once, at construction: cheaper than cached_property for small orders.
-    is_strict: bool = field(init=False, repr=False, compare=False)
-    _items: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "is_strict", set(map(len, self.classes)) <= {1})
-        object.__setattr__(self, "_items", tuple(chain.from_iterable(self.classes)))
+    def __init__(self, classes: tuple[tuple[str, ...], ...]):
+        items = tuple(chain.from_iterable(classes))
+        vars(self).update(is_strict=len(items) == len(classes) and all(classes), _items=items)
+        if not self.is_strict:
+            vars(self)["classes"] = classes
 
     @classmethod
     def strict(cls, items: Iterable[str]) -> "WeakOrder":
-        items = tuple(items)   # set what __post_init__ would derive
         order = object.__new__(cls)
-        vars(order).update(classes=tuple(zip(items)), is_strict=True, _items=items)
+        vars(order).update(is_strict=True, _items=tuple(items))
         return order
 
     @classmethod
@@ -56,17 +54,35 @@ class WeakOrder:
         return cls(tuple(tuple(c) for c in classes))
 
     @cached_property
+    def classes(self) -> tuple[tuple[str, ...], ...]:   # other orders store theirs
+        return tuple(zip(self._items))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, WeakOrder) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"WeakOrder(classes={self.classes!r})"
+
+    def _key(self):
+        return self._items if self.is_strict else self.classes
+
+    def _class_ranks(self) -> tuple[int, Iterable[int]]:
+        """The number of classes, and each item's class index in item order."""
+        if self.is_strict:
+            return len(self._items), range(1, len(self._items) + 1)
+        return len(self.classes), [r for r, cl in enumerate(self.classes, start=1) for _ in cl]
+
+    @cached_property
     def rank_map(self) -> dict[Optional[str], int]:
         # UNASSIGNED goes in first: a late non-str key would re-table the
         # dict at three times its size.
-        n = len(self.classes)
-        ranks = _RankTable({UNASSIGNED: n + 1})
-        if self.is_strict:
-            ranks.update(zip(self._items, range(1, n + 1)))
-        else:
-            for j, cl in enumerate(self.classes, start=1):
-                ranks.update(zip(cl, repeat(j)))
-        return ranks
+        n, ranks = self._class_ranks()
+        table = _RankTable({UNASSIGNED: n + 1})
+        table.update(zip(self._items, ranks))
+        return table
 
     def items(self) -> tuple[str, ...]:
         return self._items
@@ -159,10 +175,8 @@ class Instance:
 
 def _rank_row(order: WeakOrder, index: Mapping[str, int]) -> list[int]:
     """``order.rank_map`` as a list by item index, with unassigned last."""
-    n = len(order.classes)
+    n, ranks = order._class_ranks()
     row = [n + 2] * len(index) + [n + 1]
-    ranks = range(1, n + 1) if order.is_strict else [
-        r for r, cl in enumerate(order.classes, start=1) for _ in cl]
     for k, r in zip(map(index.__getitem__, order.items()), ranks):
         row[k] = r
     return row
@@ -191,6 +205,12 @@ class Matching:
     def __getitem__(self, student: str) -> Optional[str]:
         return self._lookup[student]
 
+    def seats(self, instance: Instance) -> list[int]:
+        """The inverse of :meth:`of_seats`: a school index per student, -1
+        for unassigned."""
+        index = instance.school_index
+        return [index.get(self[i], -1) for i in instance.students]
+
     def as_dict(self) -> dict[str, Optional[str]]:
         return dict(self.pairs)
 
@@ -198,11 +218,7 @@ class Matching:
         return tuple(i for i, s in self.pairs if s == school)
 
     def fill_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for _, s in self.pairs:
-            if s is not UNASSIGNED:
-                counts[s] = counts.get(s, 0) + 1
-        return counts
+        return dict(Counter(s for _, s in self.pairs if s is not UNASSIGNED))
 
 
 def validate(instance: Instance) -> list[str]:
@@ -242,7 +258,8 @@ def validate(instance: Instance) -> list[str]:
 
 def _partition_problems(order: WeakOrder, universe: set[str], where: str, kind: str) -> list[str]:
     items = order.items()
-    if len(items) == len(universe) and set(items) == universe and all(order.classes):
+    if len(items) == len(universe) and set(items) == universe and (
+            order.is_strict or all(order.classes)):
         return []
     problems = []
     seen: set[str] = set()
@@ -277,13 +294,13 @@ def tie_break(instance: Instance, seed: int) -> Instance:
     def refine(order: WeakOrder, index: dict[str, int]) -> WeakOrder:
         if order.is_strict:
             return order
-        out: list[tuple[str, ...]] = []
+        out: list[str] = []
         for cl in order.classes:
             members = sorted(cl, key=index.__getitem__)
             if rng is not None and len(members) > 1:
                 rng.shuffle(members)
-            out.extend((m,) for m in members)
-        return WeakOrder(tuple(out))
+            out += members
+        return WeakOrder.strict(out)
 
     prefs = {i: refine(instance.prefs[i], s_index) for i in instance.students}
     prios = {s: refine(instance.prios[s], i_index) for s in instance.schools}

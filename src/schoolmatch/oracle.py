@@ -121,8 +121,7 @@ def efficient_dominations_of(
     undominated.  Only the seat vectors that give each student a seat she
     ranks no worse are visited: those that dominate, equal or tie it."""
     check_bound(instance, bound)
-    rows, index = instance.pref_rows, instance.school_index
-    ref = tuple(index.get(matching[i], -1) for i in instance.students)   # -1: unassigned
+    rows, ref = instance.pref_rows, tuple(matching.seats(instance))
     ref_profile = tuple(map(getitem, rows, ref))
     allowed = [tuple(j for j in range(-1, len(row) - 1) if row[j] <= r)
                for row, r in zip(rows, ref_profile)]

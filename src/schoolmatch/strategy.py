@@ -129,11 +129,8 @@ class RandomProblemFamily:
         return self.partition.schools
 
     def capacity(self) -> dict[str, int]:
-        out = {}
-        for cap, cl in zip(self.class_capacity, self.partition.classes):
-            for s in cl:
-                out[s] = cap
-        return out
+        return {s: cap for cap, cl in zip(self.class_capacity, self.partition.classes)
+                for s in cl}
 
     def draw_instance(self, report: WeakOrder, rng: random.Random) -> Instance:
         prefs = {self.fixed_student: report}
@@ -194,9 +191,7 @@ def check_anonymity(mechanism: Mechanism, instance: Instance, swap: tuple[str, s
     def relabel(s):
         return b if s == a else a if s == b else s
 
-    return all(
-        swapped[i] == relabel(original[i]) for i in instance.students
-    )
+    return all(swapped[i] == relabel(original[i]) for i in instance.students)
 
 
 def check_positive_association(

@@ -84,7 +84,7 @@ def parse_instance(text: str) -> Instance:
 
 
 def _format_order(order: WeakOrder) -> str:
-    return " > ".join(" = ".join(cl) for cl in order.classes)
+    return " > ".join(order.items() if order.is_strict else map(" = ".join, order.classes))
 
 
 def serialize_instance(instance: Instance) -> str:

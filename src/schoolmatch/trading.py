@@ -1,17 +1,18 @@
-"""Trading cycles over a matching: the directed weighted graph of a
-matching, trading/null clique detection, the clique-application mechanism
-run on top of the deferred-acceptance baseline, one walk over the
-matchings reachable by cliques, and seat permutations split into cycles."""
+"""Trading cycles over a matching: its seat-level and student-level trading
+graphs, trading/null clique detection, the clique-application mechanism run
+on top of the deferred-acceptance baseline, one walk over the matchings
+reachable by cliques, and seat permutations split into cycles."""
 
 from __future__ import annotations
 
 import enum
 import random
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterator, Optional
 
 from .errors import CycleLimitExceededError, SearchLimitExceededError
-from .mechanisms import sosm
+from .mechanisms import _deferred_acceptance, sosm
 from .model import Instance, Matching, rank, tie_break
 
 DEFAULT_CYCLE_LIMIT = 10**6
@@ -20,11 +21,12 @@ DEFAULT_MAX_VISITED = 100_000
 
 @dataclass(frozen=True)
 class MatchGraph:
-    """Directed graph on students; edge (i, j) means i weakly prefers j's
-    seat to her own, with weight 1 iff the preference is strict."""
+    """Directed graph with 0/1 edge weights.  From :func:`build_graph`: on
+    students, edge (i, j) when i weakly prefers j's seat to her own, with
+    weight 1 iff strictly."""
 
-    vertices: tuple[str, ...]
-    weights: dict[tuple[str, str], int]
+    vertices: tuple
+    weights: dict[tuple, int]
 
 
 class CliqueKind(enum.Enum):
@@ -41,44 +43,21 @@ class Clique:
 
 
 def build_graph(instance: Instance, matching: Matching) -> MatchGraph:
-    held = [(j, matching[j]) for j in instance.students]
-    pref_rank = instance.pref_rank
-    weights: dict[tuple[str, str], int] = {}
-    for i in instance.students:
-        ranks = pref_rank[i]
-        own = ranks[matching[i]]
-        for j, seat in held:
-            if i == j:
-                continue
-            other = ranks[seat]
-            if other < own:
-                weights[(i, j)] = 1
-            elif other == own:
-                weights[(i, j)] = 0
-    return MatchGraph(instance.students, weights)
+    """Edge (i, j) when student i ranks j's seat no worse than her own,
+    weight 1 iff better: i points to j's group in the :class:`SeatGraph`."""
+    names, seat, rows = instance.students, matching.seats(instance), instance.pref_rows
+    return MatchGraph(names, {(i, j): 1 if row[t] < own else 0
+                              for i, row, own in zip(names, rows, map(getitem, rows, seat))
+                              for j, t in zip(names, seat) if row[t] <= own and i != j})
 
 
 def prune(graph: MatchGraph) -> MatchGraph:
     """Iteratively delete vertices with no incoming or no outgoing edge."""
-    alive = set(graph.vertices)
-    weights = dict(graph.weights)
-    changed = True
-    while changed:
-        changed = False
-        outs = {v: 0 for v in alive}
-        ins = {v: 0 for v in alive}
-        for (i, j) in weights:
-            outs[i] += 1
-            ins[j] += 1
-        dead = {v for v in alive if not outs[v] or not ins[v]}
-        if dead:
-            changed = True
-            alive -= dead
-            weights = {
-                e: w for e, w in weights.items() if e[0] in alive and e[1] in alive
-            }
-    vertices = tuple(v for v in graph.vertices if v in alive)
-    return MatchGraph(vertices, weights)
+    alive, weights = set(graph.vertices), dict(graph.weights)
+    while (kept := {i for i, _ in weights} & {j for _, j in weights}) != alive:
+        alive = kept
+        weights = {e: w for e, w in weights.items() if e[0] in kept and e[1] in kept}
+    return MatchGraph(tuple(v for v in graph.vertices if v in alive), weights)
 
 
 def _canonical_cycle(cycle: list[str], order: dict[str, int]) -> tuple[str, ...]:
@@ -115,20 +94,60 @@ def find_cliques(
                 partial=cliques,
             )
         canon = _canonical_cycle(cycle, order)
-        edges = list(zip(canon, canon[1:] + canon[:1]))
-        kind = (
-            CliqueKind.TRADING
-            if any(graph.weights[e] == 1 for e in edges)
-            else CliqueKind.NULL
-        )
-        cliques.append(Clique(canon, kind))
+        strict = any(graph.weights[e] == 1 for e in zip(canon, canon[1:] + canon[:1]))
+        cliques.append(Clique(canon, CliqueKind.TRADING if strict else CliqueKind.NULL))
     cliques.sort(key=by_index)
     return cliques
 
 
-def least_trading_clique(graph: MatchGraph, instance: Instance) -> Optional[Clique]:
-    """The first trading clique of :func:`find_cliques`, found without
-    enumerating cycles; needs strict preference profiles.
+class SeatGraph:
+    """The trading graph on groups of seats: the schools, then
+    "unassigned".  Student k points to every group she ranks no worse
+    than her own, with weight 1 iff strictly better, and each group points
+    to its holders.  ``seat[k]`` is k's group and ``into[g]`` maps each
+    student pointing to group g to the weight.  Student i points to j in
+    :func:`build_graph` iff i points to j's group, with the same weight.
+    Built from ``Instance.pref_rows`` and a :meth:`Matching.seats` vector."""
+
+    def __init__(self, instance: Instance, seat: list[int]):
+        m = len(instance.schools)
+        self.instance, self.rows = instance, instance.pref_rows
+        self.seat = [m if g < 0 else g for g in seat]
+        self.into: list[dict[int, int]] = [{} for _ in range(m + 1)]
+        for k in range(len(seat)):
+            self._point(k)
+
+    def _point(self, k: int) -> None:
+        row = self.rows[k]
+        own = row[self.seat[k]]
+        for r, into in zip(row, self.into):
+            if r < own:
+                into[k] = 1
+            elif r == own:
+                into[k] = 0
+            elif k in into:
+                del into[k]
+
+    def trade(self, cycle: tuple[int, ...]) -> None:
+        """Give each student of ``cycle`` the group of the next, in place."""
+        seat = self.seat
+        for k, g in zip(cycle, [seat[k] for k in cycle[1:] + cycle[:1]]):
+            seat[k] = g
+        for k in cycle:
+            self._point(k)
+
+    def match_graph(self) -> MatchGraph:
+        """Students 0..n-1, then group g as vertex n + g."""
+        n = len(self.seat)
+        weights = {(k, n + g): w for g, into in enumerate(self.into) for k, w in into.items()}
+        weights.update(((n + g, k), 0) for k, g in enumerate(self.seat))
+        return MatchGraph(tuple(range(n + len(self.into))), weights)
+
+
+def least_trading_clique(graph: SeatGraph) -> Optional[tuple[int, ...]]:
+    """The cycle of the first trading clique of :func:`find_cliques`, as
+    student indices, found without enumerating cycles; needs strict
+    preference profiles.
 
     Cycles start at their least student and compare as index tuples, so
     take the least v on a trading cycle of G[>= v] and grow a path from v:
@@ -141,34 +160,35 @@ def least_trading_clique(graph: MatchGraph, instance: Instance) -> Optional[Cliq
     such a w.  Hence u has a completion iff, avoiding the path and all
     students up to v, u reaches an in-neighbour w of v, with (w, v) of
     weight 1 while the path has no weight-1 edge yet: one reverse search
-    per step, and the walk never dead-ends after its first step.
+    per step, and the walk never dead-ends after its first step.  The
+    in-neighbours of a student are those pointing to her group, so the
+    search expands each group once, and it stops at the least candidate.
     """
-    if not instance.has_strict_prefs:
+    if not graph.instance.has_strict_prefs:
         raise ValueError("least_trading_clique needs strict preferences")
-    order = instance.student_index
-    succ: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    pred: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for i, j in graph.weights:
-        succ[i].append(j)
-        pred[j].append(i)
-    for v in sorted(graph.vertices, key=order.__getitem__):
+    seat, into = graph.seat, graph.into
+    for v in range(len(seat)):
         path, strict = [v], False
         while True:
-            if strict and (path[-1], v) in graph.weights:
-                return Clique(tuple(path), CliqueKind.TRADING)
-            free = {x for x in graph.vertices if order[x] > order[v]} - set(path)
-            stack = [w for w in pred[v] if w in free and (strict or graph.weights[w, v])]
-            reach = set(stack)
-            while stack:
-                for x in pred[stack.pop()]:
-                    if x in free and x not in reach:
-                        reach.add(x)
-                        stack.append(x)
-            nxt = min((u for u in succ[path[-1]] if u in reach), key=order.__getitem__,
-                      default=None)
+            x, seen = path[-1], set(path)
+            if strict and x in into[seat[v]]:
+                return tuple(path)
+            stack = [w for w, wt in into[seat[v]].items() if w > v and w not in seen
+                     and (strict or wt)]
+            succ = [u for u in range(v + 1, len(seat)) if u not in seen and x in into[seat[u]]]
+            seen.update(stack)   # the path, then every student reached
+            expanded = set()
+            while stack and succ and succ[0] not in seen:
+                g = seat[stack.pop()]
+                if g not in expanded:
+                    expanded.add(g)
+                    fresh = [w for w in into[g] if w > v and w not in seen]
+                    seen.update(fresh)
+                    stack += fresh
+            nxt = next((u for u in succ if u in seen), None)
             if nxt is None:  # only on the first step: no trading cycle from v
                 break
-            strict = strict or graph.weights[path[-1], nxt] == 1
+            strict = strict or into[seat[nxt]][x] == 1
             path.append(nxt)
     return None
 
@@ -249,27 +269,31 @@ def tadam_run(
     baseline run; the trading graph always uses the true weak preferences.
     Null cliques are never applied (they change no ranks).
     Canonical runs on strict preferences (priorities may be weak) pick
-    each clique in polynomial time with :func:`least_trading_clique`; all
-    other runs enumerate every cycle, and only they obey ``cycle_limit``.
+    each clique in polynomial time with :func:`least_trading_clique` on
+    one :class:`SeatGraph`, traded in place; all other runs enumerate
+    every cycle, and only they obey ``cycle_limit``.
     """
     rng = None if policy == "canonical" else random.Random(policy)
-    polynomial = rng is None and instance.has_strict_prefs
     strict = tie_break(instance, 0)
-    baseline, _ = sosm(strict)
-    current = baseline
+    if rng is None and instance.has_strict_prefs:
+        seat, _ = _deferred_acceptance(strict, strict.int_view.lists)
+        graph, cycles = SeatGraph(instance, seat), []
+        while (cycle := least_trading_clique(graph)) is not None:
+            graph.trade(cycle)
+            cycles.append(cycle)
+        name = instance.students.__getitem__
+        return TadamResult(
+            Matching.of_seats(instance, graph.seat), Matching.of_seats(instance, seat),
+            tuple(Clique(tuple(map(name, c)), CliqueKind.TRADING) for c in cycles))
+    current = baseline = sosm(strict)[0]
     applied: list[Clique] = []
     while True:
         graph = prune(build_graph(instance, current))
-        if polynomial:
-            pick = least_trading_clique(graph, instance)
-        else:
-            trading = [
-                c for c in find_cliques(graph, instance, cycle_limit)
-                if c.kind is CliqueKind.TRADING
-            ]
-            pick = (trading[0] if rng is None else rng.choice(trading)) if trading else None
-        if pick is None:
+        trading = [c for c in find_cliques(graph, instance, cycle_limit)
+                   if c.kind is CliqueKind.TRADING]
+        if not trading:
             return TadamResult(current, baseline, tuple(applied))
+        pick = trading[0] if rng is None else rng.choice(trading)
         current = apply_clique(instance, current, pick)
         applied.append(pick)
 
@@ -289,9 +313,7 @@ def reachable(
     while stack:
         current = stack.pop()
         graph = prune(build_graph(instance, current))
-        cliques = [
-            c for c in find_cliques(graph, instance, cycle_limit) if c.kind is kind
-        ]
+        cliques = [c for c in find_cliques(graph, instance, cycle_limit) if c.kind is kind]
         yield current, cliques
         for clique in cliques:
             nxt = apply_clique(instance, current, clique)
@@ -358,10 +380,8 @@ def seat_cycles(baseline: Matching, target: Matching) -> list[list[str]]:
     for i in moved:
         pool = givers.get(target[i])
         if not pool:
-            raise ValueError(
-                "target assigns a seat nobody gives up; "
-                "not realizable by seat trades"
-            )
+            raise ValueError("target assigns a seat nobody gives up; "
+                             "not realizable by seat trades")
         succ[i] = pool.pop()
 
     cycles: list[list[str]] = []
@@ -383,8 +403,7 @@ def realize_domination(
     dominate-or-equal the baseline."""
     from .analysis import dominates
 
-    strict = tie_break(instance, 0)
-    baseline, _ = sosm(strict)
+    baseline, _ = sosm(tie_break(instance, 0))
     if target == baseline:
         return []
     if not dominates(instance, target, baseline):
@@ -392,16 +411,10 @@ def realize_domination(
 
     cliques: list[Clique] = []
     for cycle in seat_cycles(baseline, target):
-        strict_edge = any(
-            rank(instance.prefs[i], target[i]) < rank(instance.prefs[i], baseline[i])
-            for i in cycle
-        )
-        cliques.append(
-            Clique(
-                _canonical_cycle(cycle, instance.student_index),
-                CliqueKind.TRADING if strict_edge else CliqueKind.NULL,
-            )
-        )
+        better = any(rank(instance.prefs[i], target[i]) < rank(instance.prefs[i], baseline[i])
+                     for i in cycle)
+        canon = _canonical_cycle(cycle, instance.student_index)
+        cliques.append(Clique(canon, CliqueKind.TRADING if better else CliqueKind.NULL))
     cliques.sort(key=lambda c: c.kind is CliqueKind.NULL)  # trading first
     return cliques
 

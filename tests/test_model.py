@@ -9,6 +9,8 @@ from schoolmatch import (
     tie_break,
     validate,
 )
+from schoolmatch import textio
+from conftest import FIXTURES
 from test_oracle import _weak_order
 
 
@@ -110,3 +112,71 @@ def test_matching_lookup_and_fill(scp4):
     assert m["i1"] == "s2"
     assert m.fill_counts()["s2"] == 2
     assert m.students_at("s2") == ("i1", "i2")
+
+
+def test_strict_order_keeps_only_its_items():
+    """A strict order stores its items, not one class per item, and builds
+    ``classes`` on first read; equality and hashing see the classes."""
+    xs = ("s3", "s1", "s2")
+    compact, classed = WeakOrder.strict(xs), WeakOrder(tuple((x,) for x in xs))
+    assert compact == classed and hash(compact) == hash(classed) and len({compact, classed}) == 1
+    assert "classes" not in vars(compact) and "classes" not in vars(classed)
+    assert compact.classes == (("s3",), ("s1",), ("s2",)) == classed.classes
+    assert repr(compact) == "WeakOrder(classes=(('s3',), ('s1',), ('s2',)))"
+    assert compact.rank_map == {None: 4, "s3": 1, "s1": 2, "s2": 3}
+    weak = WeakOrder((("s3", "s1"), ("s2",)))
+    assert weak != compact and weak.items() == compact.items() and weak.classes[0] == ("s3", "s1")
+    assert WeakOrder.strict([]) == WeakOrder(()) and WeakOrder.strict([]).is_strict
+    assert compact != xs and compact != WeakOrder.strict(xs[::-1])
+
+
+def classed_tie_break_text(instance, seed):
+    """``serialize_instance(tie_break(instance, seed))`` as it read when a
+    strict order kept one class per item: each class sorted by declaration
+    index and, for a nonzero seed, shuffled; strict orders draw nothing.
+    Seed None prints the instance as it is."""
+    rng = random.Random(seed) if seed else None
+
+    def refine(order, index):
+        if seed is None or all(len(cl) == 1 for cl in order.classes):
+            return order.classes
+        out = []
+        for cl in order.classes:
+            members = sorted(cl, key=index.__getitem__)
+            if rng is not None and len(members) > 1:
+                rng.shuffle(members)
+            out.extend((m,) for m in members)
+        return out
+
+    def text(classes):
+        return " > ".join(" = ".join(cl) for cl in classes)
+
+    lines = ["students " + " ".join(instance.students), "schools " + " ".join(instance.schools)]
+    lines += [f"capacity {s} {instance.capacity[s]}" for s in instance.schools
+              if instance.capacity[s] != 1]
+    lines += [f"pref {i}: {text(refine(instance.prefs[i], instance.school_index))}"
+              for i in instance.students]
+    lines += [f"prio {s}: {text(refine(instance.prios[s], instance.student_index))}"
+              for s in instance.schools]
+    return "\n".join(lines) + "\n"
+
+
+def test_tie_break_and_serialize_text_unchanged():
+    """Every fixture and 200 random weak instances print, as they are and
+    after ``tie_break`` at seeds 0, 1, 2 and 7, byte for byte as orders of
+    one class per item printed."""
+    instances = [textio.parse_instance(p.read_text()) for p in sorted(FIXTURES.glob("*.txt"))]
+    rng = random.Random(37)
+    for _ in range(200):
+        n, m = rng.randint(1, 6), rng.randint(1, 5)
+        students = tuple(f"i{k}" for k in range(1, n + 1))
+        schools = tuple(f"s{k}" for k in range(1, m + 1))
+        instances.append(Instance(
+            students, schools, {s: rng.randint(1, 2) for s in schools},
+            {i: _weak_order(rng, schools, True) for i in students},
+            {s: _weak_order(rng, students) for s in schools}))
+    assert len(instances) > 200 and sum(not inst.is_strict for inst in instances) > 150
+    for inst in instances:
+        for seed in (None, 0, 1, 2, 7):
+            tied = inst if seed is None else tie_break(inst, seed)
+            assert textio.serialize_instance(tied) == classed_tie_break_text(inst, seed)

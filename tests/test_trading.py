@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from schoolmatch import Matching, preference_index, sosm, ttc
+from schoolmatch import Matching, is_efficient, preference_index, sosm, ttc
 from schoolmatch import oracle, textio, trading
 from schoolmatch.errors import CycleLimitExceededError, SearchLimitExceededError
 from schoolmatch.model import Instance, WeakOrder, tie_break
@@ -205,8 +205,9 @@ def test_seeded_policy_and_weak_prefs_enumerate(scp6):
         trading.tadam_run(random_strict_instance(random.Random(2), 40, 40), 7, cycle_limit=1)
     with pytest.raises(CycleLimitExceededError):
         trading.tadam_run(scp6, cycle_limit=0)
+    graph = trading.SeatGraph(scp6, sosm(tie_break(scp6, 0))[0].seats(scp6))
     with pytest.raises(ValueError):
-        trading.least_trading_clique(trading.build_graph(scp6, sosm(tie_break(scp6, 0))[0]), scp6)
+        trading.least_trading_clique(graph)
 
 
 def test_tadam_enumerate_scp2(scp2):
@@ -376,3 +377,153 @@ def test_to_dot(scp6):
     dot = trading.to_dot(trading.build_graph(scp6, baseline))
     assert "digraph" in dot
     assert '"i2" -> "i1"' in dot
+
+
+def student_graph(instance, matching):
+    """``build_graph`` as written before the seat graph, on name-keyed
+    ranks, kept as a reference."""
+    weights = {}
+    for i in instance.students:
+        ranks = instance.pref_rank[i]
+        own = ranks[matching[i]]
+        for j in instance.students:
+            if i != j and ranks[matching[j]] <= own:
+                weights[(i, j)] = int(ranks[matching[j]] < own)
+    return trading.MatchGraph(instance.students, weights)
+
+
+def student_graph_least_trading_clique(graph, instance):
+    """The student-graph clique search canonical ``tadam_run`` ran before
+    the seat graph, kept as a reference: the least v on a trading cycle of
+    G[>= v], then a greedy path that closes at v once it holds a weight-1
+    edge, one reverse search over the student graph per step."""
+    order = instance.student_index
+    succ = {v: [] for v in graph.vertices}
+    pred = {v: [] for v in graph.vertices}
+    for i, j in graph.weights:
+        succ[i].append(j)
+        pred[j].append(i)
+    for v in sorted(graph.vertices, key=order.__getitem__):
+        path, strict = [v], False
+        while True:
+            if strict and (path[-1], v) in graph.weights:
+                return trading.Clique(tuple(path), trading.CliqueKind.TRADING)
+            free = {x for x in graph.vertices if order[x] > order[v]} - set(path)
+            stack = [w for w in pred[v] if w in free and (strict or graph.weights[w, v])]
+            reach = set(stack)
+            while stack:
+                for x in pred[stack.pop()]:
+                    if x in free and x not in reach:
+                        reach.add(x)
+                        stack.append(x)
+            nxt = min((u for u in succ[path[-1]] if u in reach), key=order.__getitem__,
+                      default=None)
+            if nxt is None:
+                break
+            strict = strict or graph.weights[path[-1], nxt] == 1
+            path.append(nxt)
+    return None
+
+
+def student_graph_tadam(instance):
+    """Reference canonical run on the student graph: rebuild and prune it
+    after every clique and pick with the reference search above."""
+    current, _ = sosm(tie_break(instance, 0))
+    applied = []
+    while True:
+        graph = trading.prune(student_graph(instance, current))
+        pick = student_graph_least_trading_clique(graph, instance)
+        if pick is None:
+            return current, tuple(applied)
+        current = trading.apply_clique(instance, current, pick)
+        applied.append(pick)
+
+
+def student_graph_is_efficient(instance, matching):
+    """Reference efficiency test on the student graph: a student points to
+    a vacancy vertex when a school with a free seat, or being unassigned,
+    ranks no worse than her seat (weight 1 if better); the vacancy points
+    to every student."""
+    graph = student_graph(instance, matching)
+    vacancy = object()
+    fill = matching.fill_counts()
+    free = [s for s in instance.schools if fill.get(s, 0) < instance.capacity[s]] + [None]
+    weights = dict(graph.weights)
+    for i in instance.students:
+        ranks = instance.pref_rank[i]
+        best, own = min(map(ranks.__getitem__, free)), ranks[matching[i]]
+        if best <= own:
+            weights[(i, vacancy)] = int(best < own)
+        weights[(vacancy, i)] = 0
+    return not trading.has_trading_clique(trading.MatchGraph((*graph.vertices, vacancy), weights))
+
+
+def large_varied_instance(rng, n, weak):
+    """n students; schools of 1-4 seats, a few more or fewer seats than
+    students; a fifth of the lists truncated; priorities in 2-4
+    coarse classes; with ``weak``, preferences in classes of 1-3."""
+    m = rng.randint(2, max(2, n // 3))
+    students = tuple(f"i{k}" for k in range(1, n + 1))
+    schools = tuple(f"s{k}" for k in range(1, m + 1))
+    prefs = {}
+    for i in students:
+        order = rng.sample(schools, m)
+        if rng.random() < 0.2:
+            order = order[: rng.randint(1, m)]
+        if weak:
+            cuts, k = [], 0
+            while (k := k + rng.randint(1, 3)) < len(order):
+                cuts.append(k)
+            prefs[i] = WeakOrder.of(order[a:b] for a, b in zip([0] + cuts, cuts + [len(order)]))
+        else:
+            prefs[i] = WeakOrder.strict(order)
+    prios = {}
+    for s in schools:
+        order = rng.sample(students, n)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, 3)))
+        prios[s] = WeakOrder.of(order[a:b] for a, b in zip([0] + cuts, cuts + [n]))
+    capacity = {s: rng.randint(1, 4) for s in schools}
+    return Instance(students, schools, capacity, prefs, prios)
+
+
+def random_feasible_matching(rng, instance):
+    room = dict(instance.capacity)
+    assignment = {}
+    for i in instance.students:
+        open_ = [s for s, left in room.items() if left] + [None]
+        s = rng.choice(open_)
+        if s is not None:
+            room[s] -= 1
+        assignment[i] = s
+    return Matching.of(assignment, instance)
+
+
+def test_seat_graph_matches_student_graph_references_at_scale():
+    """Canonical ``tadam_run`` (whole applied sequence and matching),
+    ``is_efficient`` and ``build_graph`` equal their student-graph
+    references on 200 seeded instances: 194 of 20-40 students, strict ones
+    of 120, 140, ..., 200 and a weak one of 200.  A third of the small ones
+    have weak preferences too; canonical runs enumerate on those, so only
+    the other two are asked about them."""
+    rng = random.Random(36)
+    cliques, verdicts, sizes = 0, collections.Counter(), set()
+    for t in range(200):
+        weak = t % 3 == 0 and t % 40 != 20
+        n = 120 + 20 * (t // 40) if t % 40 == 20 else 200 if t == 198 else rng.randint(20, 40)
+        inst = large_varied_instance(rng, n, weak)
+        sizes.add(n)
+        matchings = [sosm(tie_break(inst, 0))[0], ttc(tie_break(inst, 1)),
+                     random_feasible_matching(rng, inst)]
+        if not weak:
+            result = trading.tadam_run(inst)
+            assert (result.matching, result.applied) == student_graph_tadam(inst)
+            cliques += len(result.applied)
+            matchings.append(result.matching)
+        for m in matchings:
+            assert list(trading.build_graph(inst, m).weights.items()) == \
+                list(student_graph(inst, m).weights.items())
+            verdict = is_efficient(inst, m)
+            assert verdict == student_graph_is_efficient(inst, m)
+            verdicts[weak, verdict] += 1
+    assert cliques > 400 and min(sizes) == 20 and max(sizes) == 200, cliques
+    assert min(verdicts.values()) >= 5 and len(verdicts) == 4, verdicts
