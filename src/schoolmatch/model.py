@@ -107,7 +107,8 @@ def rank(profile: WeakOrder, item: Optional[str]) -> int:
 @dataclass(frozen=True)
 class IntView:
     """An instance on indices: student k's list of school indices, each
-    school's ``rank_map`` rank of each student k, and the seat counts."""
+    school's ``rank_map`` rank of each student k, and the seat counts.
+    Rows are shared between instances; never mutate them."""
 
     lists: list[tuple[int, ...]]
     prio_rows: list[list[int]]
@@ -157,7 +158,7 @@ class Instance:
     def int_view(self) -> IntView:
         index = self.school_index
         return IntView(
-            [tuple(map(index.__getitem__, self.prefs[i].items())) for i in self.students],
+            [_index_list(self.prefs[i], index) for i in self.students],
             [_rank_row(self.prios[s], self.student_index) for s in self.schools],
             [self.capacity[s] for s in self.schools],
         )
@@ -168,9 +169,32 @@ class Instance:
         return [_rank_row(self.prefs[i], self.school_index) for i in self.students]
 
     def replace_prefs(self, new_prefs: Mapping[str, PreferenceProfile]) -> "Instance":
-        prefs = dict(self.prefs)
-        prefs.update(new_prefs)
-        return Instance(self.students, self.schools, dict(self.capacity), prefs, self.prios)
+        """The instance with some students' profiles replaced.  Views already
+        built carry over; only the replaced students' list and row are rebuilt."""
+        index, built = self.student_index, vars(self)
+        unknown = sorted(new_prefs.keys() - index.keys())
+        if unknown:
+            raise ValueError(f"replace_prefs: unknown students {unknown}")
+        out = Instance(self.students, self.schools, dict(self.capacity),
+                       {**self.prefs, **new_prefs}, self.prios)
+        vars(out).update((k, built[k]) for k in ("student_index", "school_index") if k in built)
+
+        def rebuilt(rows, per_order):
+            rows = list(rows)
+            for i, order in new_prefs.items():
+                rows[index[i]] = per_order(order, self.school_index)
+            return rows
+
+        if (view := built.get("int_view")) is not None:
+            out.int_view = IntView(rebuilt(view.lists, _index_list), view.prio_rows, view.seats)
+        if "pref_rows" in built:
+            out.pref_rows = rebuilt(built["pref_rows"], _rank_row)
+        return out
+
+
+def _index_list(order: WeakOrder, index: Mapping[str, int]) -> tuple[int, ...]:
+    """The order's items as indices, in order."""
+    return tuple(map(index.__getitem__, order.items()))
 
 
 def _rank_row(order: WeakOrder, index: Mapping[str, int]) -> list[int]:
@@ -241,6 +265,9 @@ def validate(instance: Instance) -> list[str]:
             problems.append(f"capacity must be >= 1 (school {s})")
 
     school_set, student_set = set(schools), set(students)
+    stray = sorted(instance.prefs.keys() - student_set) + sorted(instance.prios.keys() - school_set)
+    if stray:
+        problems.append(f"pref or prio entries for undeclared ids: {stray}")
     for i in students:
         profile = instance.prefs.get(i)
         if profile is None:

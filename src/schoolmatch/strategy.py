@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -168,6 +169,8 @@ def swap_in_profile(profile: WeakOrder, a: str, b: str) -> WeakOrder:
     def sub(x: str) -> str:
         return b if x == a else a if x == b else x
 
+    if profile.is_strict:
+        return WeakOrder.strict(map(sub, profile.items()))
     return WeakOrder(tuple(tuple(sub(x) for x in cl) for cl in profile.classes))
 
 
@@ -287,22 +290,21 @@ def dominance_trial(
         raise ValueError(f"trials must be at least 1, not {trials}")
     rng = random.Random(seed)
     student = family.fixed_student
-    truth_counts: dict[Optional[str], int] = {}
-    alt_counts: dict[Optional[str], int] = {}
+    truth_counts: Counter[Optional[str]] = Counter()
+    alt_counts: Counter[Optional[str]] = Counter()
     for _ in range(trials):
-        complement_seed = rng.getrandbits(64)
-        for report, counts in ((truth, truth_counts), (alt, alt_counts)):
-            instance = family.draw_instance(report, random.Random(complement_seed))
-            school = mechanism(instance)[student]
-            counts[school] = counts.get(school, 0) + 1
+        # The draw does not depend on the report: both reports face one complement.
+        instance = family.draw_instance(truth, random.Random(rng.getrandbits(64)))
+        truth_counts[mechanism(instance)[student]] += 1
+        alt_counts[mechanism(instance.replace_prefs({student: alt}))[student]] += 1
 
     ranking = truth.strict_sequence()
     points = []
     verdict = Verdict.DOMINATES
     cum_truth = cum_alt = 0
     for k, s in enumerate(ranking, start=1):
-        cum_truth += truth_counts.get(s, 0)
-        cum_alt += alt_counts.get(s, 0)
+        cum_truth += truth_counts[s]
+        cum_alt += alt_counts[s]
         f_truth, f_alt = cum_truth / trials, cum_alt / trials
         pooled = (f_truth + f_alt) / 2
         band = 3 * math.sqrt(max(pooled * (1 - pooled), 0.0) / trials)

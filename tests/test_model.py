@@ -1,4 +1,8 @@
+import copy
 import random
+from functools import cached_property
+
+import pytest
 
 from schoolmatch import (
     Instance,
@@ -9,7 +13,7 @@ from schoolmatch import (
     tie_break,
     validate,
 )
-from schoolmatch import textio
+from schoolmatch import eadam, oracle, strategy, textio
 from conftest import FIXTURES
 from test_oracle import _weak_order
 
@@ -35,6 +39,76 @@ def test_integer_rows_follow_rank_map():
         assert view.seats == [inst.capacity[s] for s in schools]
         assert inst.pref_rows == [
             [rank(inst.prefs[i], s) for s in (*schools, UNASSIGNED)] for i in students]
+
+
+VIEWS = tuple(name for name, attr in vars(Instance).items() if isinstance(attr, cached_property))
+CARRIED = {"student_index", "school_index", "int_view", "pref_rows"}
+
+
+def test_replace_prefs_carries_built_views():
+    """Every view of a ``replace_prefs`` result equals a fresh instance's,
+    whichever views the source had built; the views it had built among
+    ``CARRIED`` carry over, and running mechanisms on the result leaves
+    the source's views as they were."""
+    rng = random.Random(14)
+    built_counts = {"none": 0, "some": 0, "all": 0}
+    for t in range(600):
+        n, m = rng.randint(1, 5), rng.randint(1, 4)
+        students = tuple(f"i{k}" for k in range(1, n + 1))
+        schools = tuple(f"s{k}" for k in range(1, m + 1))
+        strict = t % 2 == 0
+
+        def order(items, kind):
+            if kind == "weak":
+                return _weak_order(rng, items, rng.random() < 0.5)
+            return WeakOrder.strict(rng.sample(items, rng.randint(0, len(items))
+                                               if kind == "truncated" else len(items)))
+
+        source = Instance(
+            students, schools, {s: rng.randint(1, 3) for s in schools},
+            {i: order(schools, "truncated" if strict else "weak") for i in students},
+            {s: order(students, "strict" if strict else "weak") for s in schools},
+        )
+        read = rng.sample(VIEWS, rng.randint(0, len(VIEWS)))
+        for name in read:
+            getattr(source, name)
+        built_counts["none" if not read else "all" if len(read) == len(VIEWS) else "some"] += 1
+        before = copy.deepcopy({name: vars(source)[name] for name in VIEWS if name in vars(source)})
+
+        new = {i: order(schools, rng.choice(("strict", "weak", "truncated")))
+               for i in rng.sample(students, min(n, rng.randint(1, 3)))}
+        result = source.replace_prefs(new)
+        carried = {name for name in VIEWS if name in vars(result)}
+        assert carried == CARRIED & (before.keys() | {"student_index"})
+        if "int_view" in carried:
+            assert result.int_view.prio_rows is source.int_view.prio_rows
+            kept = [k for k, i in enumerate(students) if i not in new]
+            assert all(result.int_view.lists[k] is source.int_view.lists[k] for k in kept)
+        fresh = Instance(students, schools, result.capacity, result.prefs, result.prios)
+        assert result == fresh
+        for name in VIEWS:
+            assert getattr(result, name) == getattr(fresh, name), name
+
+        if result.is_strict:
+            eadam(result, students)
+        else:
+            oracle.stable_set(result)
+        assert {name: vars(source)[name] for name in before} == before
+    assert min(built_counts.values()) > 50
+
+
+def test_replace_prefs_rejects_unknown_students():
+    inst = strategy.random_strict_instance(random.Random(1), 3, 3)
+    with pytest.raises(ValueError, match="zz"):
+        inst.replace_prefs({"zz": inst.prefs["i1"]})
+
+
+def test_validate_reports_stray_entries(scp1):
+    stray = Instance(scp1.students, scp1.schools, scp1.capacity,
+                     {**scp1.prefs, "zz": scp1.prefs["i1"]},
+                     {**scp1.prios, "s9": scp1.prios["s1"]})
+    problems = validate(stray)
+    assert len(problems) == 1 and "zz" in problems[0] and "s9" in problems[0]
 
 
 def test_validate_ok(scp1):

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -152,6 +154,93 @@ def test_dominance_trial_tadam_small():
         strategy.mechanism_by_name("tadam"), fam, fam.truth, alt, 800, 11
     )
     assert rep.verdict is not strategy.Verdict.FAILS
+
+
+# The sweep workload's three families, and criterion 8's five (family, swap) cases.
+SWEEP_FAMILIES = (strategy.two_class_family(2), strategy.two_class_family(3),
+                  strategy.two_class_family(2, capacity=2))
+CRITERION_8_CASES = ((SWEEP_FAMILIES[0], ("s1", "s2")), (SWEEP_FAMILIES[0], ("s3", "s4")),
+                     (SWEEP_FAMILIES[1], ("s1", "s2")), (SWEEP_FAMILIES[1], ("s4", "s6")),
+                     (SWEEP_FAMILIES[2], ("s1", "s2")))
+
+
+def test_swap_in_profile_keeps_strict_orders_compact():
+    """A strict profile swaps into a strict order that equals the classed
+    construction, and reading it builds no classes on the input."""
+    def classed_swap(profile, a, b):
+        def sub(x):
+            return b if x == a else a if x == b else x
+        return WeakOrder(tuple(tuple(sub(x) for x in cl) for cl in profile.classes))
+
+    for family in SWEEP_FAMILIES:
+        for a, b in combinations(family.schools, 2):
+            profile = WeakOrder.strict(family.truth.items())
+            swapped = strategy.swap_in_profile(profile, a, b)
+            assert swapped == classed_swap(WeakOrder.strict(profile.items()), a, b)
+            assert swapped.is_strict and "classes" not in vars(profile)
+    weak = WeakOrder.of([("s1", "s2"), ("s3",)])
+    assert strategy.swap_in_profile(weak, "s1", "s3") == WeakOrder.of([("s3", "s2"), ("s1",)])
+
+
+def _two_draw_dominance_trial(mechanism, family, truth, alt, trials, seed):
+    """``dominance_trial`` as it ran with one draw per report: each report's
+    instance is drawn afresh from the trial's complement seed."""
+    rng = random.Random(seed)
+    student = family.fixed_student
+    truth_counts, alt_counts = {}, {}
+    for _ in range(trials):
+        complement_seed = rng.getrandbits(64)
+        for report, counts in ((truth, truth_counts), (alt, alt_counts)):
+            instance = family.draw_instance(report, random.Random(complement_seed))
+            school = mechanism(instance)[student]
+            counts[school] = counts.get(school, 0) + 1
+
+    points = []
+    verdict = strategy.Verdict.DOMINATES
+    cum_truth = cum_alt = 0
+    for k, s in enumerate(truth.strict_sequence(), start=1):
+        cum_truth += truth_counts.get(s, 0)
+        cum_alt += alt_counts.get(s, 0)
+        f_truth, f_alt = cum_truth / trials, cum_alt / trials
+        pooled = (f_truth + f_alt) / 2
+        band = 3 * math.sqrt(max(pooled * (1 - pooled), 0.0) / trials)
+        points.append(strategy.CdfPoint(k, f_truth, f_alt, band))
+        deficit = f_alt - f_truth
+        if deficit > band:
+            verdict = strategy.Verdict.FAILS
+        elif deficit > 0 and verdict is strategy.Verdict.DOMINATES:
+            verdict = strategy.Verdict.INCONCLUSIVE
+    return strategy.DominanceReport(
+        strategy.placement_distribution(truth_counts, trials),
+        strategy.placement_distribution(alt_counts, trials),
+        tuple(points),
+        verdict,
+    )
+
+
+def test_single_draw_matches_two_draw_reports():
+    """One draw per trial, with the alternative made by ``replace_prefs``,
+    gives the same reports as drawing each report's instance on its own.
+    Criterion 8's cases hold the sweep's; every fifth seed reports the truth."""
+    for name in ("da", "ttc", "eadam", "tadam"):
+        mechanism = strategy.mechanism_by_name(name)
+        for n, (family, swap) in enumerate(CRITERION_8_CASES):
+            for seed in range(25):
+                alt = family.truth if seed % 5 == 0 else strategy.swap_in_profile(
+                    family.truth, *swap)
+                args = (mechanism, family, family.truth, alt, 20, 1000 * n + seed)
+                assert strategy.dominance_trial(*args) == _two_draw_dominance_trial(*args)
+
+
+def test_draw_with_alternative_is_replace_prefs_of_truthful_draw():
+    for seed in range(600):
+        family = SWEEP_FAMILIES[seed % 3]
+        alt = strategy.swap_in_profile(family.truth, "s1", "s2")
+        truthful = family.draw_instance(family.truth, random.Random(seed))
+        if seed % 2:   # with and without the truthful instance's views built
+            sosm(truthful)
+        assert family.draw_instance(alt, random.Random(seed)) == truthful.replace_prefs(
+            {family.fixed_student: alt})
 
 
 def test_manipulation_witness_fixture():
