@@ -7,11 +7,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 from . import oracle
 from .mechanisms import sosm
-from .model import Instance, Matching, UNASSIGNED, rank
+from .model import Instance, Matching, rank
 from .trading import MatchGraph, SeatGraph, has_trading_clique
 
 
@@ -27,50 +26,39 @@ class ViolationRecord:
 
 def preference_index(instance: Instance, matching: Matching) -> int:
     """Sum over students of (rank of assigned school - 1); lower is better."""
-    return sum(
-        rank(instance.prefs[i], matching[i]) - 1 for i in instance.students
-    )
+    return sum(row[j] - 1 for row, j in zip(instance.pref_rows, matching.seats(instance)))
 
 
 def _claims(instance: Instance, matching: Matching):
-    """Yield ``(student, school, holders)`` for each claim: a school the
-    student ranks above her seat that has a free seat or whose cutoff, the
-    worst priority among its ``holders``, she beats; or ``UNASSIGNED`` with
-    no holders when she ranks her seat below having none."""
-    prio_rank, capacity = instance.prio_rank, instance.capacity
-    holders: dict[str | None, list[str]] = {}
-    for i, s in matching.pairs:
-        holders.setdefault(s, []).append(i)
-    cutoff = {}
-    for s in instance.schools:
-        held = holders.setdefault(s, [])
-        cutoff[s] = (max(map(prio_rank[s].__getitem__, held)) if len(held) >= capacity[s]
-                     else math.inf)   # every student clears a free seat
-    for i, seat in matching.pairs:
-        order = instance.prefs[i]
-        own = order.rank_map[seat]
-        if own > order.rank_map[UNASSIGNED]:
-            yield i, UNASSIGNED, ()
-        better = (order.items()[: own - 1] if order.is_strict
-                  else chain.from_iterable(order.classes[: own - 1]))
-        for s in better:
-            if prio_rank[s][i] < cutoff[s]:
-                yield i, s, holders[s]
+    """Yield ``(k, j, holders)`` for each claim of student index ``k``: a
+    school index ``j`` she ranks above her seat that has a free seat or
+    whose cutoff, the worst priority among its ``holders``, she beats; or
+    -1 (unassigned) with no holders when she ranks her seat below having none."""
+    view, seat = instance.int_view, matching.seats(instance)
+    holders: list[list[int]] = [[] for _ in view.seats] + [[]]   # the last: unassigned
+    for k, j in enumerate(seat):
+        holders[j].append(k)
+    cutoff = [max(map(prio.__getitem__, held)) if len(held) >= cap else math.inf   # free seat
+              for prio, held, cap in zip(view.prio_rows, holders, view.seats)]
+    for k, (row, at) in enumerate(zip(instance.pref_rows, seat)):
+        own = row[at]
+        if own > row[-1]:
+            yield k, -1, ()
+        for j in view.lists[k]:   # the schools she ranks above her seat come first
+            if row[j] >= own:
+                break
+            if view.prio_rows[j][k] < cutoff[j]:
+                yield k, j, holders[j]
 
 
 def priority_violations(instance: Instance, matching: Matching) -> list[ViolationRecord]:
     """Every (violator, victim, school) record, sorted by school, victim and
     violator: each claim against the holders the victim outranks."""
-    prio_rank = instance.prio_rank
-    records = [
-        ViolationRecord(h, victim, s)
-        for victim, s, held in _claims(instance, matching)
-        for h in held
-        if prio_rank[s][victim] < prio_rank[s][h]
-    ]
-    s_index, i_index = instance.school_index, instance.student_index
-    records.sort(key=lambda r: (s_index[r.school], i_index[r.victim], i_index[r.violator]))
-    return records
+    prio = instance.int_view.prio_rows
+    found = sorted((j, victim, h) for victim, j, held in _claims(instance, matching)
+                   for h in held if prio[j][victim] < prio[j][h])
+    students, schools = instance.students, instance.schools
+    return [ViolationRecord(students[h], students[v], schools[j]) for j, v, h in found]
 
 
 def is_stable(instance: Instance, matching: Matching) -> bool:

@@ -172,9 +172,11 @@ class Instance:
         """The instance with some students' profiles replaced.  Views already
         built carry over; only the replaced students' list and row are rebuilt."""
         index, built = self.student_index, vars(self)
-        unknown = sorted(new_prefs.keys() - index.keys())
-        if unknown:
-            raise ValueError(f"replace_prefs: unknown students {unknown}")
+        named = {s for order in new_prefs.values() for s in order.items()}
+        for kind, unknown in (("students", new_prefs.keys() - index.keys()),
+                              ("schools", named.difference(self.schools))):
+            if unknown:
+                raise ValueError(f"replace_prefs: unknown {kind} {sorted(unknown)}")
         out = Instance(self.students, self.schools, dict(self.capacity),
                        {**self.prefs, **new_prefs}, self.prios)
         vars(out).update((k, built[k]) for k in ("student_index", "school_index") if k in built)
@@ -197,11 +199,11 @@ def _index_list(order: WeakOrder, index: Mapping[str, int]) -> tuple[int, ...]:
     return tuple(map(index.__getitem__, order.items()))
 
 
-def _rank_row(order: WeakOrder, index: Mapping[str, int]) -> list[int]:
-    """``order.rank_map`` as a list by item index, with unassigned last."""
+def _rank_row(order: WeakOrder, index: Mapping[str, int], ks=None) -> list[int]:
+    """``order.rank_map`` by item index, unassigned last; ``ks``: its items' indices, if known."""
     n, ranks = order._class_ranks()
     row = [n + 2] * len(index) + [n + 1]
-    for k, r in zip(map(index.__getitem__, order.items()), ranks):
+    for k, r in zip(map(index.__getitem__, order.items()) if ks is None else ks, ranks):
         row[k] = r
     return row
 
@@ -305,30 +307,55 @@ def _partition_problems(order: WeakOrder, universe: set[str], where: str, kind: 
     return problems
 
 
+def _shuffle(rng: random.Random, x: list) -> None:
+    """``rng.shuffle(x)`` inlined: the same draws, permutation and state after."""
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def tie_break(instance: Instance, seed: int) -> Instance:
     """Refine every indifference class to a strict order.
 
     Seed 0 means canonical (declaration-order) refinement; any other seed
     applies a seeded pseudorandom permutation within each class.  Strict
     instances, and strict orders within an instance, come back as the same
-    objects; they consume no random draws.
+    objects; they consume no random draws.  Runs on the rank rows, and the
+    result comes with its integer views built, sharing strict orders' rows.
     """
     if instance.is_strict:
         return instance
     rng = random.Random(seed) if seed != 0 else None
-    s_index, i_index = instance.school_index, instance.student_index
+    students, schools, view = instance.students, instance.schools, instance.int_view
+    i_index, s_index = instance.student_index, instance.school_index
 
-    def refine(order: WeakOrder, index: dict[str, int]) -> WeakOrder:
+    def refine(order: WeakOrder, row: list[int], names: tuple[str, ...], index: dict[str, int]):
+        """``order`` refined, its item indices and its rank row, from its own ``row``."""
         if order.is_strict:
-            return order
-        out: list[str] = []
-        for cl in order.classes:
-            members = sorted(cl, key=index.__getitem__)
+            return order, (), row
+        buckets: list[list[int]] = [[] for _ in range(len(order.classes) + 2)]
+        for k, r in enumerate(row):   # by class rank, in ascending index
+            buckets[r - 1].append(k)
+        out: list[int] = []
+        for members in buckets[:-2]:   # the classes, not unassigned or off the list
             if rng is not None and len(members) > 1:
-                rng.shuffle(members)
+                _shuffle(rng, members)
             out += members
-        return WeakOrder.strict(out)
+        refined = WeakOrder.strict(map(names.__getitem__, out))
+        return refined, tuple(out), _rank_row(refined, index, out)
 
-    prefs = {i: refine(instance.prefs[i], s_index) for i in instance.students}
-    prios = {s: refine(instance.prios[s], i_index) for s in instance.schools}
-    return Instance(instance.students, instance.schools, dict(instance.capacity), prefs, prios)
+    prefs, lists, pref_rows = {}, list(view.lists), list(instance.pref_rows)
+    for k, i in enumerate(students):
+        prefs[i], out, pref_rows[k] = refine(instance.prefs[i], pref_rows[k], schools, s_index)
+        lists[k] = out or lists[k]   # () when strict, or when the order has no items
+    prios, prio_rows = {}, list(view.prio_rows)
+    for j, s in enumerate(schools):
+        prios[s], _, prio_rows[j] = refine(instance.prios[s], prio_rows[j], students, i_index)
+    strict = Instance(students, schools, dict(instance.capacity), prefs, prios)
+    vars(strict).update(student_index=i_index, school_index=s_index, pref_rows=pref_rows,
+                        int_view=IntView(lists, prio_rows, view.seats))
+    return strict

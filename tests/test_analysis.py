@@ -217,7 +217,7 @@ def test_priority_violations_match_reference():
     tie-break and one random feasible matching, judged against both the
     weak and the tie-broken instance.  ``is_stable`` is checked against the
     reference, a direct vacant-seat loop and a direct individual-rationality
-    loop."""
+    loop, and ``preference_index`` against each student's rank table."""
     rng = random.Random(44)
     outcomes = collections.Counter()
     truncated_comparisons = 0
@@ -244,6 +244,8 @@ def test_priority_violations_match_reference():
             for judged in (inst, strict):
                 expected = reference_priority_violations(judged, matching)
                 assert priority_violations(judged, matching) == expected
+                assert preference_index(judged, matching) == sum(
+                    judged.pref_rank[i][matching[i]] - 1 for i in students)
                 vacant = vacant_seat_envy(judged, matching)
                 unacceptable = below_unassigned(judged, matching)
                 assert is_stable(judged, matching) == (

@@ -13,7 +13,8 @@ from schoolmatch import (
     tie_break,
     validate,
 )
-from schoolmatch import eadam, oracle, strategy, textio
+from schoolmatch import eadam, oracle, sosm, strategy, textio
+from schoolmatch.model import _shuffle
 from conftest import FIXTURES
 from test_oracle import _weak_order
 
@@ -101,6 +102,18 @@ def test_replace_prefs_rejects_unknown_students():
     inst = strategy.random_strict_instance(random.Random(1), 3, 3)
     with pytest.raises(ValueError, match="zz"):
         inst.replace_prefs({"zz": inst.prefs["i1"]})
+
+
+def test_replace_prefs_rejects_unknown_schools():
+    """The same error whether or not the source's integer views are built."""
+    inst = strategy.random_strict_instance(random.Random(1), 3, 3)
+    for views_built in (False, True):
+        if views_built:
+            sosm(inst)
+        assert ("int_view" in vars(inst)) == views_built
+        with pytest.raises(ValueError, match=r"unknown schools \['s0', 's9'\]"):
+            inst.replace_prefs({"i1": WeakOrder.strict(["s1", "s9"]),
+                                "i2": WeakOrder.of([["s0", "s2"]])})
 
 
 def test_validate_reports_stray_entries(scp1):
@@ -236,9 +249,12 @@ def classed_tie_break_text(instance, seed):
 
 
 def test_tie_break_and_serialize_text_unchanged():
-    """Every fixture and 200 random weak instances print, as they are and
-    after ``tie_break`` at seeds 0, 1, 2 and 7, byte for byte as orders of
-    one class per item printed."""
+    """Every fixture, 200 random weak instances with truncated preference
+    lists and three district-shaped ones (300 students, 6 schools of 50
+    seats, 4 priority classes) print, as they are and after ``tie_break``
+    at seeds 0, 1, 2 and 7, byte for byte as orders of one class per item
+    printed.  ``tie_break`` hands over its result's integer views and
+    indexes built, equal to a fresh instance's."""
     instances = [textio.parse_instance(p.read_text()) for p in sorted(FIXTURES.glob("*.txt"))]
     rng = random.Random(37)
     for _ in range(200):
@@ -249,8 +265,39 @@ def test_tie_break_and_serialize_text_unchanged():
             students, schools, {s: rng.randint(1, 2) for s in schools},
             {i: _weak_order(rng, schools, True) for i in students},
             {s: _weak_order(rng, students) for s in schools}))
+    for _ in range(3):
+        students = tuple(f"i{k}" for k in range(1, 301))
+        schools = tuple(f"s{k}" for k in range(1, 7))
+        prios = {}
+        for s in schools:
+            order = rng.sample(students, len(students))
+            prios[s] = WeakOrder.of(order[c::4] for c in range(4))
+        instances.append(Instance(
+            students, schools, dict.fromkeys(schools, 50),
+            {i: WeakOrder.strict(rng.sample(schools, rng.randint(4, 6))) for i in students},
+            prios))
     assert len(instances) > 200 and sum(not inst.is_strict for inst in instances) > 150
+    assert sum(any(len(p.items()) < len(inst.schools) for p in inst.prefs.values())
+               for inst in instances if not inst.is_strict) > 150
     for inst in instances:
         for seed in (None, 0, 1, 2, 7):
             tied = inst if seed is None else tie_break(inst, seed)
             assert textio.serialize_instance(tied) == classed_tie_break_text(inst, seed)
+            if tied is inst:
+                continue
+            assert CARRIED <= vars(tied).keys()
+            fresh = Instance(tied.students, tied.schools, tied.capacity, tied.prefs, tied.prios)
+            for name in CARRIED:
+                assert vars(tied)[name] == getattr(fresh, name), name
+
+
+def test_shuffle_matches_stdlib():
+    """``_shuffle`` makes the permutation ``random.Random.shuffle`` makes and
+    leaves the generator in the same state, for lengths 0-300."""
+    for seed in range(50):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for n in range(301):
+            x, y = list(range(n)), list(range(n))
+            _shuffle(ours, x)
+            stdlib.shuffle(y)
+            assert x == y and ours.getstate() == stdlib.getstate(), (seed, n)
