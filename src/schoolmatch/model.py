@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional
 
 UNASSIGNED = None
@@ -130,6 +130,12 @@ class Instance:
     prefs: dict[str, PreferenceProfile]
     prios: dict[str, PriorityStructure]
 
+    @classmethod
+    def _with_views(cls, *fields, **views) -> "Instance":
+        """An instance handed views already built; each equals its lazy builder's."""
+        vars(out := cls(*fields)).update(views)
+        return out
+
     @cached_property
     def student_index(self) -> dict[str, int]:
         return {i: k for k, i in enumerate(self.students)}
@@ -166,7 +172,9 @@ class Instance:
     @cached_property
     def pref_rows(self) -> list[list[int]]:
         """Student k's rank of each school j, then of unassigned (seat -1)."""
-        return [_rank_row(self.prefs[i], self.school_index) for i in self.students]
+        view = vars(self).get("int_view")   # its lists spare the name lookups
+        ks = view.lists if view is not None else repeat(None)
+        return [_rank_row(self.prefs[i], self.school_index, k) for i, k in zip(self.students, ks)]
 
     def replace_prefs(self, new_prefs: Mapping[str, PreferenceProfile]) -> "Instance":
         """The instance with some students' profiles replaced.  Views already
@@ -177,9 +185,7 @@ class Instance:
                               ("schools", named.difference(self.schools))):
             if unknown:
                 raise ValueError(f"replace_prefs: unknown {kind} {sorted(unknown)}")
-        out = Instance(self.students, self.schools, dict(self.capacity),
-                       {**self.prefs, **new_prefs}, self.prios)
-        vars(out).update((k, built[k]) for k in ("student_index", "school_index") if k in built)
+        kept = {k: built[k] for k in ("student_index", "school_index") if k in built}
 
         def rebuilt(rows, per_order):
             rows = list(rows)
@@ -188,10 +194,11 @@ class Instance:
             return rows
 
         if (view := built.get("int_view")) is not None:
-            out.int_view = IntView(rebuilt(view.lists, _index_list), view.prio_rows, view.seats)
+            kept["int_view"] = IntView(rebuilt(view.lists, _index_list), view.prio_rows, view.seats)
         if "pref_rows" in built:
-            out.pref_rows = rebuilt(built["pref_rows"], _rank_row)
-        return out
+            kept["pref_rows"] = rebuilt(built["pref_rows"], _rank_row)
+        return Instance._with_views(self.students, self.schools, dict(self.capacity),
+                                    {**self.prefs, **new_prefs}, self.prios, **kept)
 
 
 def _index_list(order: WeakOrder, index: Mapping[str, int]) -> tuple[int, ...]:
@@ -248,7 +255,8 @@ class Matching:
 
 
 def validate(instance: Instance) -> list[str]:
-    """Return every broken invariant as a human-readable message."""
+    """Return every broken invariant as a human-readable message.  The message
+    path of ``textio.parse_instance``, which checks the same on indices."""
     problems: list[str] = []
     students, schools = instance.students, instance.schools
     if len(set(students)) != len(students):
@@ -286,10 +294,6 @@ def validate(instance: Instance) -> list[str]:
 
 
 def _partition_problems(order: WeakOrder, universe: set[str], where: str, kind: str) -> list[str]:
-    items = order.items()
-    if len(items) == len(universe) and set(items) == universe and (
-            order.is_strict or all(order.classes)):
-        return []
     problems = []
     seen: set[str] = set()
     for cl in order.classes:
@@ -355,7 +359,6 @@ def tie_break(instance: Instance, seed: int) -> Instance:
     prios, prio_rows = {}, list(view.prio_rows)
     for j, s in enumerate(schools):
         prios[s], _, prio_rows[j] = refine(instance.prios[s], prio_rows[j], students, i_index)
-    strict = Instance(students, schools, dict(instance.capacity), prefs, prios)
-    vars(strict).update(student_index=i_index, school_index=s_index, pref_rows=pref_rows,
-                        int_view=IntView(lists, prio_rows, view.seats))
-    return strict
+    return Instance._with_views(students, schools, dict(instance.capacity), prefs, prios,
+                                student_index=i_index, school_index=s_index, pref_rows=pref_rows,
+                                int_view=IntView(lists, prio_rows, view.seats))

@@ -9,6 +9,9 @@ Grammar (comments ``#`` and blank lines ignored)::
     prio s1: i1 > i3 > i2
 
 Matching files are ``student school`` lines, ``-`` for unassigned.
+
+:func:`parse_instance` hands over the integer views it builds while it checks
+the instance on indices; :func:`~schoolmatch.model.validate` words a fault.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ def parse_instance(text: str) -> Instance:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
+        keyword, *rest = line.split(None, 1)
+        rest = "".join(rest)
         if keyword == "students":
             students.extend(rest.split())
         elif keyword == "schools":
@@ -51,6 +54,8 @@ def parse_instance(text: str) -> Instance:
             parts = rest.split()
             if len(parts) != 2:
                 raise ParseError("expected: capacity <school> <int>", lineno)
+            if parts[0] in capacity:
+                raise ParseError(f"duplicate capacity line for {parts[0]}", lineno)
             try:
                 capacity[parts[0]] = int(parts[1])
             except ValueError:
@@ -77,10 +82,25 @@ def parse_instance(text: str) -> Instance:
     for s in schools:
         capacity.setdefault(s, 1)
     instance = Instance(tuple(students), tuple(schools), capacity, prefs, prios)
-    problems = validate(instance)
-    if problems:
-        raise ParseError("invalid instance: " + "; ".join(problems))
+    if not _valid(instance):
+        raise ParseError("invalid instance: " + "; ".join(validate(instance)))
     return instance
+
+
+def _valid(inst: Instance) -> bool:
+    """``not validate(inst)``, checked as the integer views get built.  A parsed
+    order has no empty class: it is whole if it has one item per index, all ranked."""
+    ids = inst.student_index.keys() | inst.school_index.keys()   # fewer if any id repeats
+    if len(ids) < len(inst.students) + len(inst.schools):
+        return False
+    try:   # a missing order or an unknown id
+        rows = inst.int_view.prio_rows + inst.pref_rows
+    except KeyError:
+        return False
+    orders = [*map(inst.prios.get, inst.schools), *map(inst.prefs.get, inst.students)]
+    return min(inst.int_view.seats) >= 1 and all(
+        len(order.items()) == len(row) - 1 and row[-1] + 1 not in row
+        for order, row in zip(orders, rows))
 
 
 def _format_order(order: WeakOrder) -> str:

@@ -1,10 +1,12 @@
+import random
 from pathlib import Path
 
 import pytest
 
-from schoolmatch import Matching, sosm
+from schoolmatch import Instance, Matching, WeakOrder, sosm, tie_break, validate
 from schoolmatch import textio
 from schoolmatch.errors import ParseError
+from test_oracle import _weak_order
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -92,3 +94,284 @@ def test_matching_over_capacity(scp1):
 def test_matching_missing_student(scp1):
     with pytest.raises(ParseError, match="missing"):
         textio.parse_matching("i1 s1\n", scp1)
+
+
+def test_parse_duplicate_capacity_rejected():
+    """A second ``capacity`` line for a school is an error, not a silent
+    replacement of the first."""
+    text = "students i1\nschools s1\ncapacity s1 2\ncapacity s1 1\npref i1: s1\nprio s1: i1\n"
+    with pytest.raises(ParseError) as err:
+        textio.parse_instance(text)
+    assert str(err.value) == "line 4: duplicate capacity line for s1" and err.value.line == 4
+
+
+def test_parse_tab_after_directive():
+    """Any whitespace separates a directive from its arguments, as it
+    separates ids."""
+    text = ("students\ti1 i2\nschools\ts1\ncapacity\ts1\t2\n"
+            "pref\ti1: s1\npref i2:\ts1\nprio\ts1: i2 > i1\n")
+    inst = textio.parse_instance(text)
+    assert inst == textio.parse_instance(text.replace("\t", " "))
+    assert inst.students == ("i1", "i2") and inst.capacity == {"s1": 2}
+    with pytest.raises(ParseError) as err:
+        textio.parse_instance("students i1\nschools s1\nbogus\tx\n")
+    assert str(err.value) == "line 3: unknown directive 'bogus'"
+
+
+def reference_parse(text):
+    """The name-level route: parse every line to names, then report what
+    ``validate`` finds.  It keeps the two input rules the parser gained on
+    purpose: any whitespace after a directive, and no second capacity line."""
+    students, schools, capacity, prefs, prios = [], [], {}, {}, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        keyword, _, rest = line.replace("\t", " ").partition(" ")
+        rest = rest.strip()
+        if keyword == "students":
+            students.extend(rest.split())
+        elif keyword == "schools":
+            schools.extend(rest.split())
+        elif keyword == "capacity":
+            parts = rest.split()
+            if len(parts) != 2:
+                raise ParseError("expected: capacity <school> <int>", lineno)
+            if parts[0] in capacity:
+                raise ParseError(f"duplicate capacity line for {parts[0]}", lineno)
+            try:
+                capacity[parts[0]] = int(parts[1])
+            except ValueError:
+                raise ParseError(f"bad capacity {parts[1]!r}", lineno) from None
+        elif keyword in ("pref", "prio"):
+            owner, sep, ranking = rest.partition(":")
+            owner = owner.strip()
+            if not sep or not owner:
+                raise ParseError(f"expected: {keyword} <id>: a > b = c", lineno)
+            target = prefs if keyword == "pref" else prios
+            if owner in target:
+                raise ParseError(f"duplicate {keyword} line for {owner}", lineno)
+            target[owner] = textio._parse_order(ranking, lineno)
+        else:
+            raise ParseError(f"unknown directive {keyword!r}", lineno)
+    if not students:
+        raise ParseError("no students declared")
+    if not schools:
+        raise ParseError("no schools declared")
+    undeclared = sorted((set(prefs) - set(students)) | (set(prios) | set(capacity)) - set(schools))
+    if undeclared:
+        raise ParseError(f"pref, prio or capacity lines for undeclared ids {undeclared}")
+    for s in schools:
+        capacity.setdefault(s, 1)
+    instance = Instance(tuple(students), tuple(schools), capacity, prefs, prios)
+    problems = validate(instance)
+    if problems:
+        raise ParseError("invalid instance: " + "; ".join(problems))
+    return instance
+
+
+def random_instance(rng, strict):
+    """Complete lists, 1-6 students, 1-5 schools, 1-3 seats; weak orders tie
+    some items unless ``strict``."""
+    n, m = rng.randint(1, 6), rng.randint(1, 5)
+    students = tuple(f"i{k}" for k in range(1, n + 1))
+    schools = tuple(f"s{k}" for k in range(1, m + 1))
+
+    def order(items):
+        if strict:
+            return WeakOrder.strict(rng.sample(items, len(items)))
+        return _weak_order(rng, items)
+
+    return Instance(students, schools, {s: rng.randint(1, 3) for s in schools},
+                    {i: order(schools) for i in students}, {s: order(students) for s in schools})
+
+
+def corpus():
+    """Every fixture's text, then 240 random instances' (half strict)."""
+    texts = [p.read_text() for p in sorted(FIXTURES.glob("*.txt"))]
+    rng = random.Random(16)
+    return texts + [textio.serialize_instance(random_instance(rng, t % 2 == 0)) for t in range(240)]
+
+
+def _ids(lines, keyword):
+    """The ids of the first ``students`` or ``schools`` line; ["x"] if none."""
+    return next((line.split()[1:] for line in lines if line.split()[:1] == [keyword]), ["x"])
+
+
+def _insert(make):
+    """A mutation that inserts the line ``make(lines, rng)`` anywhere."""
+    def mutate(lines, rng):
+        lines.insert(rng.randint(0, len(lines)), make(lines, rng))
+        return True
+    return mutate
+
+
+def _drop(keyword):
+    """A mutation that deletes one ``keyword`` line."""
+    def mutate(lines, rng):
+        picks = [k for k, line in enumerate(lines) if line.split()[:1] == [keyword]]
+        if picks:
+            del lines[rng.choice(picks)]
+        return bool(picks)
+    return mutate
+
+
+def _repeat(keyword):
+    """A mutation that copies one ``keyword`` line to a later place."""
+    def mutate(lines, rng):
+        picks = [k for k, line in enumerate(lines) if line.split()[:1] == [keyword]]
+        if picks:
+            k = rng.choice(picks)
+            lines.insert(rng.randint(k + 1, len(lines)), lines[k])
+        return bool(picks)
+    return mutate
+
+
+def _edit_item(keyword, how):
+    """A mutation that overwrites one item of a ``keyword`` line ranking two
+    items or more with another, repeats one at its end, renames one to an
+    unknown id or deletes one."""
+    def mutate(lines, rng):
+        picks = [k for k, line in enumerate(lines) if line.split()[:1] == [keyword]
+                 and len(line.partition(":")[2].split()) > 2]
+        if not picks:
+            return False
+        k = rng.choice(picks)
+        owner, _, ranking = lines[k].partition(":")
+        items = ranking.replace("=", ">").split(">")
+        a, b = rng.sample(range(len(items)), 2)
+        if how == "duplicate":
+            items[a] = items[b]
+        elif how == "repeated":
+            items.append(items[b])
+        elif how == "unknown":
+            items[a] = " zz "
+        else:
+            del items[a]
+        lines[k] = owner + ":" + ">".join(items)
+        return True
+    return mutate
+
+
+MUTATIONS = {
+    # line-numbered ParseErrors
+    "unknown directive": _insert(lambda lines, rng: "bogus x y"),
+    "capacity arity": _insert(lambda lines, rng: "capacity " + rng.choice(_ids(lines, "schools"))),
+    "bad capacity": _insert(lambda lines, rng: f"capacity {rng.choice(_ids(lines, 'schools'))} 2x"),
+    "duplicate capacity": _insert(lambda lines, rng: f"capacity {_ids(lines, 'schools')[0]} 2"),
+    "pref without colon": _insert(lambda lines, rng: f"pref {_ids(lines, 'students')[0]} s1"),
+    "prio without owner": _insert(lambda lines, rng: "prio : i1"),
+    "duplicate pref": _repeat("pref"),
+    "duplicate prio": _repeat("prio"),
+    "empty id": _insert(lambda lines, rng: f"pref {rng.choice(['ghost', 'i1'])}: s1 > > s2"),
+    # ParseErrors after the line loop
+    "no students": _drop("students"),
+    "no schools": _drop("schools"),
+    "undeclared pref": _insert(lambda lines, rng: "pref ghost: s1"),
+    "undeclared prio": _insert(lambda lines, rng: "prio zz: i1"),
+    "undeclared capacity": _insert(lambda lines, rng: "capacity zz 2"),
+    # validate's messages
+    "duplicate student id": _insert(lambda lines, rng: f"students {_ids(lines, 'students')[-1]}"),
+    "duplicate school id": _insert(lambda lines, rng: f"schools {_ids(lines, 'schools')[0]}"),
+    "id overlap": _insert(lambda lines, rng: f"students {_ids(lines, 'schools')[-1]}"),
+    "capacity below one": _insert(
+        lambda lines, rng: f"capacity {_ids(lines, 'schools')[-1]} {rng.choice([0, -2])}"),
+    "missing pref": _drop("pref"),
+    "missing prio": _drop("prio"),
+    **{f"{keyword} with {how} item": _edit_item(keyword, how)
+       for keyword in ("pref", "prio") for how in ("duplicate", "repeated", "unknown", "missing")},
+}
+
+
+MESSAGE_KINDS = (
+    "unknown directive", "expected: capacity", "bad capacity", "duplicate capacity line",
+    "expected: pref", "expected: prio", "duplicate pref line", "duplicate prio line",
+    "empty id in ranking", "no students declared", "no schools declared", "undeclared ids",
+    "duplicate student ids", "duplicate school ids", "ids used as both", "capacity must be >= 1",
+    "missing preference profile", "incomplete priority", "duplicate school s", "unknown school",
+    "missing schools", "duplicate student i", "unknown student", "missing students",
+)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def test_parse_errors_match_name_level_route():
+    """On every fixture and 240 random instance texts, each mutation kind
+    alone and 400 random pairs of kinds, the parser fails with the message
+    and line of the name-level route, or both give equal instances.  Files
+    that ``parse_instance`` cannot produce (empty classes, missing
+    capacities, stray entries) have no case."""
+    rng = random.Random(61)
+    texts = corpus()
+    names = sorted(MUTATIONS)
+    messages = set()
+    cases = [(text, [name]) for text in texts for name in rng.sample(names, 4)]
+    cases += [(text, [name]) for name, text in zip(names, texts)]
+    cases += [(rng.choice(texts), rng.sample(names, 2)) for _ in range(400)]
+    for text, kinds in cases:
+        lines = text.splitlines()
+        if not all(MUTATIONS[name](lines, rng) for name in kinds):
+            continue
+        broken = "\n".join(lines) + "\n"
+        got, want = outcome(textio.parse_instance, broken), outcome(reference_parse, broken)
+        assert got == want, (kinds, broken)
+        if isinstance(want, tuple):
+            messages.add(want[0])
+    for text in texts:
+        assert textio.parse_instance(text) == reference_parse(text)
+    for kind in MESSAGE_KINDS:
+        assert any(kind in message for message in messages), kind
+
+
+VIEWS = ("student_index", "school_index", "int_view", "pref_rows")
+
+
+def shuffled_declarations(text, rng):
+    """``text`` with its ``students`` and ``schools`` lines cut in two at
+    random, the pieces kept in order but moved among the other lines (after
+    the pref lines too), and a tab after some directives."""
+    lines = text.splitlines()
+    declared = [line for line in lines if line.split()[:1] in (["students"], ["schools"])]
+    body = [line for line in lines if line not in declared]
+    for line in declared:
+        keyword, *ids = line.split()
+        cut = rng.randint(1, len(ids))
+        pieces = [ids[:cut], ids[cut:]] if cut < len(ids) else [ids]
+        spots = sorted(rng.choices(range(len(body) + 1), k=len(pieces)))
+        for shift, (spot, piece) in enumerate(zip(spots, pieces)):
+            body.insert(spot + shift, keyword + rng.choice(" \t") + " ".join(piece))
+    return "\n".join(body) + "\n"
+
+
+def test_parser_hands_over_fresh_views():
+    """On every fixture and 240 random instances, strict and weak, their
+    declarations split and moved: the parsed instance equals the one parsed
+    from the text as written, comes with its id indexes, ``int_view`` and ``pref_rows``
+    built and equal to a fresh instance's, and ``tie_break`` builds no view
+    of it (nor a ``rank_map`` of its orders)."""
+    rng = random.Random(62)
+    texts = corpus()
+    assert sum("\t" in shuffled_declarations(text, rng) for text in texts) > 100
+    moved = 0
+    for text in texts:
+        want = textio.parse_instance(text)
+        varied = shuffled_declarations(text, rng)
+        moved += not varied.startswith(("students", "schools"))
+        for inst in (want, textio.parse_instance(varied)):
+            assert inst == want
+            fresh = Instance(inst.students, inst.schools, inst.capacity, inst.prefs, inst.prios)
+            built = dict(vars(inst))
+            for name in reversed(VIEWS):   # pref_rows first: it looks names up itself
+                assert built[name] == getattr(fresh, name), name
+            for seed in (0, 1, 7):
+                tie_break(inst, seed)
+            assert vars(inst).keys() - built.keys() <= {"has_strict_prefs", "is_strict"}
+            assert all(vars(inst)[name] is built[name] for name in VIEWS)
+            orders = [*inst.prefs.values(), *inst.prios.values()]
+            assert not any("rank_map" in vars(order) for order in orders)
+    assert moved > 100
