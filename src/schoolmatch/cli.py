@@ -101,10 +101,10 @@ def _load_coalition(path: str, instance: Instance) -> coalitions.Coalition:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        keyword, _, rest = line.partition(" ")
+        keyword, *members = line.split()
         if keyword != "loop":
             raise SchoolMatchError(f"coalition file line {lineno}: expected 'loop i1 i2 ...'")
-        loops.append(tuple(rest.split()))
+        loops.append(tuple(members))
     baseline, _ = sosm(instance)
     return coalitions.build_coalition(instance, baseline, tuple(loops))
 

@@ -180,13 +180,8 @@ def enumerate_coalitions(
             "raise max_students to enumerate their coalitions"
         )
     baseline, _ = sosm(instance)
-    graph = trading.build_graph(instance, baseline)
-    strict_graph = trading.MatchGraph(
-        graph.vertices, {e: w for e, w in graph.weights.items() if w == 1}
-    )
-    cycles = [
-        c.cycle for c in trading.find_cliques(trading.prune(strict_graph), instance)
-    ]
+    graph = trading.SeatGraph(instance, baseline.seats(instance))
+    cycles = [c.cycle for c in trading.find_cliques(graph, strict_edges=True)]
     # Graph cycles follow "points at the seat she wants"; the loop tuple
     # convention is "receives from the previous member", i.e. reversed.
     loops = [tuple(reversed(c)) for c in cycles]

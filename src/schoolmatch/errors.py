@@ -16,7 +16,8 @@ class _LimitError(SchoolMatchError):
 
 
 class CycleLimitExceededError(_LimitError):
-    """Cycle enumeration hit its count limit; partial results are attached."""
+    """Cycle enumeration hit its count limit; ``partial`` holds the least
+    ``limit`` cycles in canonical order, the head of the full list."""
 
 
 class SearchLimitExceededError(_LimitError):

@@ -134,6 +134,8 @@ def parse_matching(text: str, instance: Instance) -> Matching:
         student, school = parts
         if student not in instance.student_index:
             raise ParseError(f"unknown student {student!r}", lineno)
+        if student in assignment:
+            raise ParseError(f"duplicate line for student {student!r}", lineno)
         if school == "-":
             assignment[student] = UNASSIGNED
         elif school in instance.school_index:

@@ -1,7 +1,9 @@
 """Trading cycles over a matching: its seat-level and student-level trading
 graphs, trading/null clique detection, the clique-application mechanism run
 on top of the deferred-acceptance baseline, one walk over the matchings
-reachable by cliques, and seat permutations split into cycles."""
+reachable by cliques, and seat permutations split into cycles.  Every
+cycle is found on a :class:`SeatGraph`; :func:`find_cliques` emits them
+already sorted, and with polynomial delay, as its docstring explains."""
 
 from __future__ import annotations
 
@@ -51,55 +53,6 @@ def build_graph(instance: Instance, matching: Matching) -> MatchGraph:
                               for j, t in zip(names, seat) if row[t] <= own and i != j})
 
 
-def prune(graph: MatchGraph) -> MatchGraph:
-    """Iteratively delete vertices with no incoming or no outgoing edge."""
-    alive, weights = set(graph.vertices), dict(graph.weights)
-    while (kept := {i for i, _ in weights} & {j for _, j in weights}) != alive:
-        alive = kept
-        weights = {e: w for e, w in weights.items() if e[0] in kept and e[1] in kept}
-    return MatchGraph(tuple(v for v in graph.vertices if v in alive), weights)
-
-
-def _canonical_cycle(cycle: list[str], order: dict[str, int]) -> tuple[str, ...]:
-    k = min(range(len(cycle)), key=lambda idx: order[cycle[idx]])
-    return tuple(cycle[k:] + cycle[:k])
-
-
-def find_cliques(
-    graph: MatchGraph,
-    instance: Instance,
-    limit: int = DEFAULT_CYCLE_LIMIT,
-) -> list[Clique]:
-    """All elementary cycles of the graph, classified trading or null.
-
-    Cycles are rotated to start at the canonically smallest student and
-    sorted; exceeding ``limit`` raises with the partial list attached.
-    """
-    import networkx as nx  # only cycle enumeration needs it
-
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(graph.vertices)
-    digraph.add_edges_from(graph.weights)
-    order = instance.student_index
-
-    def by_index(clique: Clique) -> tuple[int, ...]:
-        return tuple(map(order.__getitem__, clique.cycle))
-
-    cliques = []
-    for count, cycle in enumerate(nx.simple_cycles(digraph), start=1):
-        if count > limit:
-            cliques.sort(key=by_index)
-            raise CycleLimitExceededError(
-                f"found more than {limit} cycles; raise cycle_limit to enumerate further",
-                partial=cliques,
-            )
-        canon = _canonical_cycle(cycle, order)
-        strict = any(graph.weights[e] == 1 for e in zip(canon, canon[1:] + canon[:1]))
-        cliques.append(Clique(canon, CliqueKind.TRADING if strict else CliqueKind.NULL))
-    cliques.sort(key=by_index)
-    return cliques
-
-
 class SeatGraph:
     """The trading graph on groups of seats: the schools, then
     "unassigned".  Student k points to every group she ranks no worse
@@ -142,6 +95,66 @@ class SeatGraph:
         weights = {(k, n + g): w for g, into in enumerate(self.into) for k, w in into.items()}
         weights.update(((n + g, k), 0) for k, g in enumerate(self.seat))
         return MatchGraph(tuple(range(n + len(self.into))), weights)
+
+
+def find_cliques(
+    graph: SeatGraph,
+    limit: int = DEFAULT_CYCLE_LIMIT,
+    strict_edges: bool = False,
+) -> list[Clique]:
+    """Every elementary cycle of the student graph (:func:`build_graph`),
+    trading if it has a weight-1 edge, else null; ``strict_edges`` keeps
+    only weight-1 edges.  Past ``limit`` cycles it raises with the least
+    ``limit``.  For each least student v in turn, a depth-first search
+    over the students above v, successors ascending, closes the path at v
+    before extending it, so cycles come out sorted as index tuples.  It
+    steps to u only if u still reaches v off the path, by one reverse
+    search that visits each student once; so every branch ends in a cycle
+    and two cycles are at most O(n) searches apart.
+    """
+    seat, name, n = graph.seat, graph.instance.students.__getitem__, len(graph.seat)
+    into = [{k: 1 for k, w in g.items() if w} for g in graph.into] if strict_edges else graph.into
+    # Sets of students are bitmasks: who points to group g, whom k points to.
+    points = [sum(1 << k for k in group) for group in into]
+    out = [sum(1 << u for u, g in enumerate(seat) if k in into[g]) for k in range(n)]
+
+    def ahead(v: int, on: int) -> int:
+        """The students above v, off the path ``on``, that reach v off it."""
+        free, reach = ~on & -(2 << v), 0
+        fresh = points[seat[v]] & free
+        while fresh:
+            reach, nxt = reach | fresh, 0
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                nxt |= points[seat[low.bit_length() - 1]]
+            fresh = nxt & free & ~reach
+        return reach
+
+    cliques: list[Clique] = []
+    for v in range(n):
+        path, on = [v], 1 << v
+        todo = [out[v] & ahead(v, on)]   # each path node's successors still to try
+        while todo:
+            if not (left := todo[-1]):
+                todo.pop()
+                on ^= 1 << path.pop()
+                continue
+            low = left & -left
+            todo[-1], u = left ^ low, low.bit_length() - 1
+            path.append(u)
+            on |= low
+            if u in into[seat[v]]:
+                if len(cliques) == limit:
+                    raise CycleLimitExceededError(
+                        f"found more than {limit} cycles; raise cycle_limit to enumerate further",
+                        partial=cliques,
+                    )
+                trades = any(into[seat[b]][a] for a, b in zip(path, path[1:] + [v]))
+                cliques.append(Clique(tuple(map(name, path)),
+                                      CliqueKind.TRADING if trades else CliqueKind.NULL))
+            todo.append(out[u] & ahead(v, on))
+    return cliques
 
 
 def least_trading_clique(graph: SeatGraph) -> Optional[tuple[int, ...]]:
@@ -237,18 +250,6 @@ def has_trading_clique(graph: MatchGraph) -> bool:
     return any(w == 1 and comp[i] == comp[j] for (i, j), w in graph.weights.items())
 
 
-def apply_clique(instance: Instance, matching: Matching, clique: Clique) -> Matching:
-    """Give each student in the cycle the seat of the student she points to."""
-    cycle = clique.cycle
-    assignment = matching.as_dict()
-    for i, j in zip(cycle, cycle[1:] + cycle[:1]):
-        ranks = instance.pref_rank[i]
-        if i == j or ranks[matching[j]] > ranks[matching[i]]:
-            raise ValueError(f"stale clique: edge {i}->{j} no longer valid")
-        assignment[i] = matching[j]
-    return Matching.of(assignment, instance)
-
-
 @dataclass(frozen=True)
 class TadamResult:
     matching: Matching
@@ -267,35 +268,33 @@ def tadam_run(
     trading clique) or an integer seed for a reproducible random choice.
     Ties in preferences or priorities are broken with seed 0 for the
     baseline run; the trading graph always uses the true weak preferences.
-    Null cliques are never applied (they change no ranks).
-    Canonical runs on strict preferences (priorities may be weak) pick
-    each clique in polynomial time with :func:`least_trading_clique` on
-    one :class:`SeatGraph`, traded in place; all other runs enumerate
-    every cycle, and only they obey ``cycle_limit``.
+    Null cliques are never applied (they change no ranks).  Every run
+    trades in place on one :class:`SeatGraph`; canonical runs on strict
+    preferences (priorities may be weak) pick each clique in polynomial
+    time with :func:`least_trading_clique`, all others pick among the
+    cycles of :func:`find_cliques`, and only they obey ``cycle_limit``.
     """
     rng = None if policy == "canonical" else random.Random(policy)
     strict = tie_break(instance, 0)
-    if rng is None and instance.has_strict_prefs:
-        seat, _ = _deferred_acceptance(strict, strict.int_view.lists)
-        graph, cycles = SeatGraph(instance, seat), []
-        while (cycle := least_trading_clique(graph)) is not None:
-            graph.trade(cycle)
-            cycles.append(cycle)
-        name = instance.students.__getitem__
-        return TadamResult(
-            Matching.of_seats(instance, graph.seat), Matching.of_seats(instance, seat),
-            tuple(Clique(tuple(map(name, c)), CliqueKind.TRADING) for c in cycles))
-    current = baseline = sosm(strict)[0]
-    applied: list[Clique] = []
+    seat, _ = _deferred_acceptance(strict, strict.int_view.lists)
+    graph, cycles = SeatGraph(instance, seat), []
+    least = rng is None and instance.has_strict_prefs
     while True:
-        graph = prune(build_graph(instance, current))
-        trading = [c for c in find_cliques(graph, instance, cycle_limit)
-                   if c.kind is CliqueKind.TRADING]
-        if not trading:
-            return TadamResult(current, baseline, tuple(applied))
-        pick = trading[0] if rng is None else rng.choice(trading)
-        current = apply_clique(instance, current, pick)
-        applied.append(pick)
+        if least:
+            cycle = least_trading_clique(graph)
+        else:  # the first trading clique, or a seeded random one, as indices
+            found = [c.cycle for c in find_cliques(graph, cycle_limit)
+                     if c.kind is CliqueKind.TRADING]
+            cycle = found and tuple(map(instance.student_index.__getitem__,
+                                        found[0] if rng is None else rng.choice(found)))
+        if not cycle:
+            break
+        graph.trade(cycle)
+        cycles.append(cycle)
+    name = instance.students.__getitem__
+    return TadamResult(
+        Matching.of_seats(instance, graph.seat), Matching.of_seats(instance, seat),
+        tuple(Clique(tuple(map(name, c)), CliqueKind.TRADING) for c in cycles))
 
 
 def reachable(
@@ -308,21 +307,23 @@ def reachable(
     """Depth-first walk over the matchings reachable from ``start`` by
     cliques of ``kind``: yields each once, with its cliques of that kind
     in :func:`find_cliques` order; more than ``max_visited`` raises."""
-    seen = {start}
-    stack = [start]
+    index, first = instance.student_index, tuple(start.seats(instance))
+    seen, stack = {first}, [first]
     while stack:
-        current = stack.pop()
-        graph = prune(build_graph(instance, current))
-        cliques = [c for c in find_cliques(graph, instance, cycle_limit) if c.kind is kind]
-        yield current, cliques
+        seat = stack.pop()
+        cliques = [c for c in find_cliques(SeatGraph(instance, seat), cycle_limit)
+                   if c.kind is kind]
+        yield Matching.of_seats(instance, seat), cliques
         for clique in cliques:
-            nxt = apply_clique(instance, current, clique)
-            if nxt not in seen:
+            nxt = list(seat)
+            for i, j in zip(clique.cycle, clique.cycle[1:] + clique.cycle[:1]):
+                nxt[index[i]] = seat[index[j]]
+            if (nxt := tuple(nxt)) not in seen:
                 if len(seen) >= max_visited:
                     raise SearchLimitExceededError(
                         f"reached more than {max_visited} matchings; "
                         "raise max_visited to search further",
-                        partial=frozenset(seen),
+                        partial=frozenset(Matching.of_seats(instance, s) for s in seen),
                     )
                 seen.add(nxt)
                 stack.append(nxt)
@@ -370,8 +371,8 @@ def tadam_enumerate(
 
 def seat_cycles(baseline: Matching, target: Matching) -> list[list[str]]:
     """The students whose seat differs, as cycles in which each receives
-    the ``baseline`` seat of the next; seats of one school are
-    interchangeable, so each takes the last giver left at her school."""
+    the ``baseline`` seat of the next, from its least student; seats of
+    one school are interchangeable: each takes her school's last giver."""
     moved = [i for i, seat in target.pairs if seat != baseline[i]]
     givers: dict[Optional[str], list[str]] = {}
     for i in moved:
@@ -413,8 +414,7 @@ def realize_domination(
     for cycle in seat_cycles(baseline, target):
         better = any(rank(instance.prefs[i], target[i]) < rank(instance.prefs[i], baseline[i])
                      for i in cycle)
-        canon = _canonical_cycle(cycle, instance.student_index)
-        cliques.append(Clique(canon, CliqueKind.TRADING if better else CliqueKind.NULL))
+        cliques.append(Clique(tuple(cycle), CliqueKind.TRADING if better else CliqueKind.NULL))
     cliques.sort(key=lambda c: c.kind is CliqueKind.NULL)  # trading first
     return cliques
 

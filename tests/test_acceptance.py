@@ -18,6 +18,8 @@ from schoolmatch.mechanisms import eadam, hopeless_students
 from schoolmatch.model import WeakOrder
 from schoolmatch.strategy import Verdict, random_strict_instance
 
+import networkx_route
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -168,10 +170,10 @@ def test_criterion_6_index_domination_law(announce):
             matchings = list(oracle.enumerate_matchings(inst))
             for b in rng.sample(matchings, min(60, len(matchings))):
                 graph = trading.build_graph(inst, b)
-                for clique in trading.find_cliques(graph, inst, limit=2000):
+                for clique in networkx_route.find_cliques(graph, inst, limit=2000):
                     if clique.kind is not trading.CliqueKind.TRADING:
                         continue
-                    a = trading.apply_clique(inst, b, clique)
+                    a = networkx_route.apply_clique(inst, b, clique)
                     assert dominates(inst, a, b)
                     assert preference_index(inst, a) < preference_index(inst, b)
                     pairs += 1

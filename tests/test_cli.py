@@ -91,6 +91,10 @@ GOLDEN_COMMANDS = {
     "trace": ["trace"],
     "trace-json": ["--format", "json-like", "trace"],
     "eadam-json": ["--format", "json-like", "solve", "--mechanism", "eadam"],
+    "graph": ["graph"],
+    "enumerate-tadam": ["enumerate", "--what", "tadam"],
+    "enumerate-coalitions": ["enumerate", "--what", "coalitions"],
+    "tadam-seed7": ["solve", "--mechanism", "tadam", "--policy", "seed:7"],
 }
 GOLDEN = json.loads((FIXTURES / "golden_outputs.json").read_text())
 
@@ -268,6 +272,32 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_analyze_rejects_duplicate_matching_line(tmp_path, capsys):
+    """A second line for one student is an error, not a silent overwrite."""
+    matching = tmp_path / "m.txt"
+    matching.write_text("i1 s1\ni1 s2\ni2 s1\ni3 s3\n")
+    code = main(["analyze", "--matching", str(matching), fix("scp1")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: line 2: duplicate line for student 'i1'\n"
+
+
+def test_coalition_file_splits_on_any_whitespace(tmp_path, capsys):
+    """A tab after ``loop`` works like a space; other keywords still fail
+    with the same message."""
+    reports = []
+    for text in ("loop i1 i2 i4\n", "loop\ti1\ti2 i4\n"):
+        coalition = tmp_path / "coalition.txt"
+        coalition.write_text(text)
+        reports.append(run_json(capsys, "solve", "--mechanism", "cim",
+                                "--coalition", str(coalition), fix("scp2")))
+    assert reports[0] == reports[1] and reports[0][0] == 0
+    coalition.write_text("# two loops\n\nlooped\ti1 i2\n")
+    code = main(["solve", "--mechanism", "cim", "--coalition", str(coalition), fix("scp2")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: coalition file line 3: expected 'loop i1 i2 ...'\n"
+
+
 def test_unknown_consent_student_rejected(capsys):
     code = main(["solve", "--mechanism", "eadam", "--consent", "i1,nobody", fix("scp3")])
     assert code == 1
@@ -290,27 +320,63 @@ def test_closed_pipe_gives_no_traceback():
 
 
 def test_cli_import_leaves_networkx_unloaded():
-    """Only cycle enumeration loads networkx: not the CLI import, the
-    trading-clique test, the efficiency test on ten students or canonical
-    TADAM on strict preferences."""
+    """Nothing loads networkx: not the CLI import, the trading-clique
+    test, the efficiency test on ten students, TADAM canonical or seeded,
+    on strict or weak preferences, cycle enumeration or coalitions."""
     src = Path(__file__).parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = """
+    code = f"""
 import random, sys
 import schoolmatch.cli
-from schoolmatch import analysis, sosm, trading
+from schoolmatch import analysis, coalitions, sosm, textio, trading
 from schoolmatch.strategy import random_strict_instance
 inst = random_strict_instance(random.Random(1), 10, 10)
 da = sosm(inst)[0]
 trading.has_trading_clique(trading.build_graph(inst, da))
 analysis.is_efficient(inst, da)
 trading.tadam_run(inst, "canonical")
+rich = random_strict_instance(random.Random(6), 10, 10)
+assert trading.find_cliques(trading.SeatGraph(rich, sosm(rich)[0].seats(rich)))
+assert trading.tadam_run(rich, 7).applied
+weak = textio.parse_instance(open({fix("scp6")!r}).read())
+assert not weak.has_strict_prefs and trading.tadam_run(weak).applied
+small = random_strict_instance(random.Random(8), 5, 5)
+assert len(trading.tadam_enumerate(small).terminals) == 2
+assert len(coalitions.enumerate_coalitions(small)) == 3
 print("networkx" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_enumerating_commands_run_without_networkx():
+    """With networkx unimportable, the commands that enumerate cycles
+    print their golden output on every fixture."""
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    commands = ("graph", "enumerate-tadam", "enumerate-coalitions", "tadam-seed7")
+    jobs = [(f"{p.stem} {c}", [*GOLDEN_COMMANDS[c], str(p)])
+            for p in sorted(FIXTURES.glob("scp*.txt")) for c in commands]
+    code = """
+import contextlib, io, json, sys
+sys.modules["networkx"] = None
+from schoolmatch.cli import main
+outputs = {}
+for key, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0, key
+    outputs[key] = out.getvalue()
+print(json.dumps(outputs))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(jobs)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    outputs = json.loads(proc.stdout)
+    assert len(outputs) == 24
+    assert outputs == {key: GOLDEN[key] for key in outputs}
 
 
 def test_readme_library_snippet_runs(tmp_path, monkeypatch):

@@ -3,7 +3,8 @@ seat-permutation split and the single displaced-set rule.
 
 The loops they replaced are kept here as references: the depth-first
 searches of ``tadam_enumerate``, ``null_closure`` and
-``same_class_cliques``, the seat decompositions of ``realize_domination``
+``same_class_cliques`` on the name-keyed cycle route of
+``networkx_route``, the seat decompositions of ``realize_domination``
 and ``eadam_as_coalition``, and the displaced-school loop of
 ``accomplice_set``.  Answers are compared as values, never as reprs
 (``frozenset`` order follows the hash seed).
@@ -16,9 +17,9 @@ from schoolmatch.analysis import dominates
 from schoolmatch.errors import PreconditionError
 from schoolmatch.mechanisms import eadam, sosm, ttc
 from schoolmatch.model import Instance, WeakOrder, rank, tie_break
-from schoolmatch.trading import (
-    Clique, CliqueKind, apply_clique, build_graph, find_cliques, prune,
-)
+from schoolmatch.trading import Clique, CliqueKind, build_graph
+
+from networkx_route import apply_clique, find_cliques, prune
 
 
 def reference_null_closure(instance, matching):

@@ -91,6 +91,12 @@ def test_matching_over_capacity(scp1):
         textio.parse_matching("i1 s1\ni2 s1\ni3 s3\n", scp1)
 
 
+def test_matching_duplicate_student_line(scp1):
+    with pytest.raises(ParseError, match="duplicate line for student 'i1'") as err:
+        textio.parse_matching("i1 s1\ni1 s2\ni2 s1\ni3 s3\n", scp1)
+    assert err.value.line == 2
+
+
 def test_matching_missing_student(scp1):
     with pytest.raises(ParseError, match="missing"):
         textio.parse_matching("i1 s1\n", scp1)

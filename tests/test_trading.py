@@ -9,11 +9,22 @@ from schoolmatch.errors import CycleLimitExceededError, SearchLimitExceededError
 from schoolmatch.model import Instance, WeakOrder, tie_break
 from schoolmatch.strategy import random_strict_instance
 
+import networkx_route
+
+
+def seat_graph(instance, matching):
+    return trading.SeatGraph(instance, matching.seats(instance))
+
 
 def cliques_of(instance):
-    baseline, _ = sosm(instance)
-    graph = trading.prune(trading.build_graph(instance, baseline))
-    return trading.find_cliques(graph, instance)
+    return trading.find_cliques(seat_graph(instance, sosm(instance)[0]))
+
+
+def traded(instance, matching, clique):
+    """``matching`` after the trade of ``clique`` on its seat graph."""
+    graph, index = seat_graph(instance, matching), instance.student_index
+    graph.trade(tuple(map(index.__getitem__, clique.cycle)))
+    return Matching.of_seats(instance, graph.seat)
 
 
 def test_build_graph_scp2(scp2):
@@ -44,13 +55,13 @@ def test_build_graph_no_strict_edges_at_top(scp1):
 def test_prune(scp2, scp3):
     for inst in (scp2, scp3):
         baseline, _ = sosm(inst)
-        pruned = trading.prune(trading.build_graph(inst, baseline))
+        pruned = networkx_route.prune(trading.build_graph(inst, baseline))
         assert set(pruned.vertices) == {"i1", "i2", "i3", "i4"}
 
 
 def test_prune_acyclic_graph_empties():
     graph = trading.MatchGraph(("a", "b", "c"), {("a", "b"): 1, ("b", "c"): 1})
-    assert trading.prune(graph).vertices == ()
+    assert networkx_route.prune(graph).vertices == ()
 
 
 def test_find_cliques_scp2(scp2):
@@ -72,8 +83,7 @@ def test_find_cliques_scp3(scp3):
 
 def test_find_cliques_scp6(scp6):
     baseline = Matching.of({"i1": "s1", "i2": "s2", "i3": "s3"}, scp6)
-    graph = trading.prune(trading.build_graph(scp6, baseline))
-    cliques = trading.find_cliques(graph, scp6)
+    cliques = trading.find_cliques(seat_graph(scp6, baseline))
     trading_cliques = [c for c in cliques if c.kind is trading.CliqueKind.TRADING]
     assert [c.cycle for c in trading_cliques] == [("i1", "i2")]
 
@@ -81,29 +91,31 @@ def test_find_cliques_scp6(scp6):
 def test_apply_clique_scp2(scp2):
     baseline, _ = sosm(scp2)
     clique = next(c for c in cliques_of(scp2) if c.cycle == ("i1", "i4", "i2"))
-    after = trading.apply_clique(scp2, baseline, clique)
+    after = networkx_route.apply_clique(scp2, baseline, clique)
     assert after.as_dict() == {
         "i1": "s2", "i2": "s5", "i3": "s1", "i4": "s4", "i5": "s3"
     }
+    assert traded(scp2, baseline, clique) == after
 
 
 def test_apply_clique_stale_rejected(scp2):
     baseline, _ = sosm(scp2)
     clique = next(c for c in cliques_of(scp2) if c.cycle == ("i1", "i4", "i2"))
-    moved = trading.apply_clique(scp2, baseline, clique)
+    moved = networkx_route.apply_clique(scp2, baseline, clique)
     with pytest.raises(ValueError):
-        trading.apply_clique(scp2, moved, clique)
+        networkx_route.apply_clique(scp2, moved, clique)
 
 
 def test_apply_null_clique_keeps_index(scp4):
     m = Matching.of({"i1": "s1", "i2": "s2", "i3": "s2"}, scp4)
-    graph = trading.build_graph(scp4, m)
     nulls = [
-        c for c in trading.find_cliques(graph, scp4)
+        c for c in trading.find_cliques(seat_graph(scp4, m))
         if c.kind is trading.CliqueKind.NULL
     ]
+    assert nulls
     for clique in nulls:
-        after = trading.apply_clique(scp4, m, clique)
+        after = networkx_route.apply_clique(scp4, m, clique)
+        assert traded(scp4, m, clique) == after
         assert preference_index(scp4, after) == preference_index(scp4, m)
 
 
@@ -135,10 +147,9 @@ def test_trading_clique_strictly_lowers_index():
     for _ in range(20):
         inst = random_strict_instance(rng, 5, 5)
         current, _ = sosm(inst)
-        graph = trading.prune(trading.build_graph(inst, current))
-        for clique in trading.find_cliques(graph, inst):
+        for clique in trading.find_cliques(seat_graph(inst, current)):
             if clique.kind is trading.CliqueKind.TRADING:
-                after = trading.apply_clique(inst, current, clique)
+                after = traded(inst, current, clique)
                 assert preference_index(inst, after) < preference_index(inst, current)
 
 
@@ -163,21 +174,21 @@ def varied_strict_instance(rng):
     return Instance(students, schools, capacity, prefs, prios)
 
 
-def enumerated_tadam(instance):
-    """Reference canonical run: the first trading clique of find_cliques."""
-    strict = tie_break(instance, 0)
-    current, _ = sosm(strict)
+def reference_tadam(instance, policy):
+    """The enumerating route of ``tadam_run`` before the seat graph, kept
+    as a reference: rebuild, prune and enumerate the student graph with
+    networkx after every clique and apply the pick to names."""
+    rng = None if policy == "canonical" else random.Random(policy)
+    current = baseline = sosm(tie_break(instance, 0))[0]
     applied = []
     while True:
-        graph = trading.prune(trading.build_graph(instance, current))
-        pick = next(
-            (c for c in trading.find_cliques(graph, instance)
-             if c.kind is trading.CliqueKind.TRADING),
-            None,
-        )
-        if pick is None:
-            return current, tuple(applied)
-        current = trading.apply_clique(instance, current, pick)
+        graph = networkx_route.prune(trading.build_graph(instance, current))
+        found = [c for c in networkx_route.find_cliques(graph, instance)
+                 if c.kind is trading.CliqueKind.TRADING]
+        if not found:
+            return trading.TadamResult(current, baseline, tuple(applied))
+        pick = found[0] if rng is None else rng.choice(found)
+        current = networkx_route.apply_clique(instance, current, pick)
         applied.append(pick)
 
 
@@ -187,7 +198,7 @@ def test_canonical_tadam_matches_enumeration():
     for _ in range(1200):
         inst = varied_strict_instance(rng)
         result = trading.tadam_run(inst)
-        assert (result.matching, result.applied) == enumerated_tadam(inst)
+        assert result == reference_tadam(inst, "canonical")
         applied += len(result.applied)
         short += sum(inst.capacity.values()) < len(inst.students)
     assert applied > 200 and short > 300
@@ -263,16 +274,18 @@ def test_search_limits_name_their_knob_and_keep_partial(scp6):
 
 
 def test_cycle_limit_partial_keeps_the_full_order():
-    """The partial list is in the full list's order, declaration index,
-    also where ids sort differently as strings (i10 < i2)."""
+    """The partial list is the least ``limit`` cycles of the full list, in
+    declaration index order, also where ids sort differently as strings
+    (i10 < i2)."""
     inst = random_strict_instance(random.Random(11), 12, 12)
-    graph = trading.build_graph(inst, sosm(inst)[0])
-    full = trading.find_cliques(graph, inst)
+    graph = seat_graph(inst, sosm(inst)[0])
+    full = trading.find_cliques(graph)
     with pytest.raises(CycleLimitExceededError) as err:
-        trading.find_cliques(graph, inst, limit=6)
-    partial = err.value.partial
-    assert len(partial) == 6 < len(full)
-    assert [c for c in full if c in partial] == partial
+        trading.find_cliques(graph, limit=6)
+    assert err.value.partial == full[:6] and len(full) > 6
+    by_index = [tuple(int(i[1:]) for i in c.cycle) for c in full]
+    assert by_index == sorted(by_index)
+    assert [c.cycle for c in full] != sorted(c.cycle for c in full)
 
 
 def test_realize_domination_scp3(scp3):
@@ -283,7 +296,7 @@ def test_realize_domination_scp3(scp3):
     assert {c.cycle for c in seq} == {("i1", "i3"), ("i2", "i4")}
     current, _ = sosm(scp3)
     for clique in seq:
-        current = trading.apply_clique(scp3, current, clique)
+        current = networkx_route.apply_clique(scp3, current, clique)
     assert current == target
 
 
@@ -364,9 +377,8 @@ def test_truncation_never_adds_cliques():
         t_base, _ = sosm(truncated)
         if t_base != base:
             continue  # truncation changed the baseline; graph incomparable
-        t_graph = trading.prune(trading.build_graph(truncated, t_base))
         through = {
-            c.cycle for c in trading.find_cliques(t_graph, truncated)
+            c.cycle for c in trading.find_cliques(seat_graph(truncated, t_base))
             if student in c.cycle
         }
         assert through <= {c for c in full if student in c}
@@ -431,11 +443,11 @@ def student_graph_tadam(instance):
     current, _ = sosm(tie_break(instance, 0))
     applied = []
     while True:
-        graph = trading.prune(student_graph(instance, current))
+        graph = networkx_route.prune(student_graph(instance, current))
         pick = student_graph_least_trading_clique(graph, instance)
         if pick is None:
             return current, tuple(applied)
-        current = trading.apply_clique(instance, current, pick)
+        current = networkx_route.apply_clique(instance, current, pick)
         applied.append(pick)
 
 
@@ -527,3 +539,73 @@ def test_seat_graph_matches_student_graph_references_at_scale():
             verdicts[weak, verdict] += 1
     assert cliques > 400 and min(sizes) == 20 and max(sizes) == 200, cliques
     assert min(verdicts.values()) >= 5 and len(verdicts) == 4, verdicts
+
+
+def small_weak_instance(rng):
+    """2-7 students and 1-4 schools of 1-2 seats, so often a seat short;
+    preferences in classes of 1-3, 30 % of the lists truncated; strict
+    priorities."""
+    n, m = rng.randint(2, 7), rng.randint(1, 4)
+    students = tuple(f"i{k}" for k in range(1, n + 1))
+    schools = tuple(f"s{k}" for k in range(1, m + 1))
+    prefs = {}
+    for i in students:
+        order = rng.sample(schools, m)
+        if rng.random() < 0.3:
+            order = order[: rng.randint(1, m)]
+        cuts, k = [], 0
+        while (k := k + rng.randint(1, 3)) < len(order):
+            cuts.append(k)
+        prefs[i] = WeakOrder.of(order[a:b] for a, b in zip([0] + cuts, cuts + [len(order)]))
+    prios = {s: WeakOrder.strict(rng.sample(students, n)) for s in schools}
+    capacity = {s: rng.randint(1, 2) for s in schools}
+    return Instance(students, schools, capacity, prefs, prios)
+
+
+def test_find_cliques_matches_networkx_reference():
+    """On 1,000 seeded weak instances, at the DA baseline and at a random
+    feasible matching, the seat-graph enumeration equals the networkx
+    route on the pruned student graph, in order and in kind; with
+    ``strict_edges`` it equals the route on the weight-1 subgraph; at a
+    limit of 0-3 the partial list is the head of the full list."""
+    rng = random.Random(37)
+    seen = collections.Counter()
+    for _ in range(1000):
+        inst = small_weak_instance(rng)
+        seen["short"] += sum(inst.capacity.values()) < len(inst.students)
+        seen["truncated"] += any(len(inst.prefs[i].items()) < len(inst.schools)
+                                 for i in inst.students)
+        for m in (sosm(tie_break(inst, 0))[0], random_feasible_matching(rng, inst)):
+            graph, seats = trading.build_graph(inst, m), seat_graph(inst, m)
+            full = trading.find_cliques(seats)
+            assert full == networkx_route.find_cliques(networkx_route.prune(graph), inst)
+            strict_graph = trading.MatchGraph(
+                graph.vertices, {e: w for e, w in graph.weights.items() if w == 1})
+            assert trading.find_cliques(seats, strict_edges=True) == \
+                networkx_route.find_cliques(strict_graph, inst)
+            seen.update(c.kind.value for c in full)
+            limit = rng.randint(0, 3)
+            if len(full) > limit:
+                with pytest.raises(CycleLimitExceededError, match="cycle_limit") as err:
+                    trading.find_cliques(seats, limit=limit)
+                assert err.value.partial == full[:limit]
+                seen["limited"] += 1
+            else:
+                assert trading.find_cliques(seats, limit=limit) == full
+    assert seen["trading"] > 10_000 and seen["null"] > 10_000, seen
+    assert seen["short"] > 300 and seen["truncated"] > 400 and seen["limited"] > 1000, seen
+
+
+def test_enumerating_tadam_matches_networkx_reference():
+    """Seeded runs, and canonical runs on weak preferences, apply the same
+    cliques in the same order as the networkx route."""
+    rng = random.Random(38)
+    applied = weak = 0
+    for _ in range(400):
+        inst = small_weak_instance(rng)
+        weak += not inst.has_strict_prefs
+        for policy in ("canonical", 7, rng.randrange(1000)):
+            result = trading.tadam_run(inst, policy)
+            assert result == reference_tadam(inst, policy)
+            applied += len(result.applied)
+    assert applied > 200 and weak > 250, (applied, weak)
