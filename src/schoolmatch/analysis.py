@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from . import oracle
 from .mechanisms import sosm
 from .model import Instance, Matching, rank
-from .trading import MatchGraph, SeatGraph, has_trading_clique
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,7 @@ def is_efficient(instance: Instance, matching: Matching) -> bool:
     starts on a weight-1 edge and, no two pointing alike, returns to her
     or reaches the vacancy, which leads to her.
     """
+    from .trading import MatchGraph, SeatGraph, has_trading_clique
     seats = SeatGraph(instance, matching.seats(instance))
     graph, n, m = seats.match_graph(), len(instance.students), len(instance.schools)
     vacancy, fill = n + m + 1, Counter(seats.seat)

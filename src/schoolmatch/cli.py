@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import analysis, coalitions, oracle, strategy, textio, trading
+from . import analysis, textio
 from .errors import SchoolMatchError
 from .mechanisms import eadam, sosm, ttc
 from .model import Instance, Matching, UNASSIGNED, tie_break
@@ -50,8 +50,7 @@ def _matching_report(instance: Instance, matching: Matching) -> dict:
 
 def _emit(report: dict, fmt: str, out) -> None:
     if fmt == "json-like":
-        json.dump(report, out, indent=2, default=str)
-        out.write("\n")
+        out.write(json.dumps(report, indent=2, default=str) + "\n")
         return
     _emit_text(report, out, indent="")
 
@@ -96,6 +95,7 @@ def _parse_policy(text: str) -> "str | int":
 
 
 def _load_coalition(path: str, instance: Instance) -> coalitions.Coalition:
+    from . import coalitions
     loops = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -131,11 +131,13 @@ def _cmd_solve(args, out) -> int:
         ]
         extra["rounds"] = len(result.traces)
     elif args.mechanism == "tadam":
+        from . import trading
         result = trading.tadam_run(instance, policy)
         matching = result.matching
         extra["baseline"] = _matching_dict(result.baseline)
         extra["cliques"] = [" -> ".join(c.cycle) for c in result.applied]
     elif args.mechanism == "cim":
+        from . import coalitions
         if args.coalition:
             coalition = _load_coalition(args.coalition, strict)
             matching, verified = coalitions.run_coalition(strict, coalition)
@@ -207,6 +209,7 @@ def _cmd_trace(args, out) -> int:
 # enumerate
 
 def _cmd_enumerate(args, out) -> int:
+    from . import coalitions, oracle, trading
     instance = _load_instance(args.file)
     strict = tie_break(instance, args.tiebreak)
 
@@ -279,6 +282,7 @@ def _cmd_analyze(args, out) -> int:
 # graph
 
 def _cmd_graph(args, out) -> int:
+    from . import trading
     instance = _load_instance(args.file)
     strict = tie_break(instance, args.tiebreak)
     baseline, _ = sosm(strict)
@@ -291,6 +295,7 @@ def _cmd_graph(args, out) -> int:
 
 def _parse_family(spec: str) -> strategy.RandomProblemFamily:
     """SPEC is CLASSESxPER[xCAPACITY], e.g. 2x3 or 2x2x2."""
+    from . import strategy
     parts = spec.split("x")
     if len(parts) not in (2, 3) or not all(p.isdecimal() and int(p) > 0 for p in parts):
         raise SchoolMatchError(f"--family must be positive counts like 2x3 or 2x2x2, not {spec!r}")
@@ -313,6 +318,7 @@ def _write_counterexample(instance: Instance, seed: int, case: int, tag: str) ->
 
 
 def _cmd_strategy(args, out) -> int:
+    from . import strategy
     rng = random.Random(args.seed)
     mechs = {name: strategy.mechanism_by_name(name) for name in ("da", "tadam")}
 

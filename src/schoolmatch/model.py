@@ -69,17 +69,14 @@ class WeakOrder:
     def _key(self):
         return self._items if self.is_strict else self.classes
 
-    def _class_ranks(self) -> tuple[int, Iterable[int]]:
-        """The number of classes, and each item's class index in item order."""
-        if self.is_strict:
-            return len(self._items), range(1, len(self._items) + 1)
-        return len(self.classes), [r for r, cl in enumerate(self.classes, start=1) for _ in cl]
-
     @cached_property
     def rank_map(self) -> dict[Optional[str], int]:
         # UNASSIGNED goes in first: a late non-str key would re-table the
         # dict at three times its size.
-        n, ranks = self._class_ranks()
+        if self.is_strict:
+            n, ranks = len(self._items), range(1, len(self._items) + 1)
+        else:
+            n, ranks = len(self.classes), [r for r, cl in enumerate(self.classes, start=1) for _ in cl]
         table = _RankTable({UNASSIGNED: n + 1})
         table.update(zip(self._items, ranks))
         return table
@@ -207,11 +204,19 @@ def _index_list(order: WeakOrder, index: Mapping[str, int]) -> tuple[int, ...]:
 
 
 def _rank_row(order: WeakOrder, index: Mapping[str, int], ks=None) -> list[int]:
-    """``order.rank_map`` by item index, unassigned last; ``ks``: its items' indices, if known."""
-    n, ranks = order._class_ranks()
+    """``order.rank_map`` by item index, unassigned last.  A strict order fills
+    it in one pass over its item indices (``ks``, if known), a weak one class
+    by class."""
+    strict = order.is_strict
+    n = len(order.items() if strict else order.classes)
     row = [n + 2] * len(index) + [n + 1]
-    for k, r in zip(map(index.__getitem__, order.items()) if ks is None else ks, ranks):
-        row[k] = r
+    if strict:
+        for r, k in enumerate(map(index.__getitem__, order.items()) if ks is None else ks, 1):
+            row[k] = r
+    else:
+        for r, cl in enumerate(order.classes, 1):
+            for k in map(index.__getitem__, cl):
+                row[k] = r
     return row
 
 

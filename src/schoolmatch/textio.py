@@ -23,11 +23,23 @@ from .model import Instance, Matching, UNASSIGNED, WeakOrder, validate
 
 
 def _parse_order(text: str, lineno: int) -> WeakOrder:
-    chunks = text.split(">")
-    if "=" in text:
-        order = WeakOrder(tuple(tuple(map(str.strip, c.split("="))) for c in chunks))
+    """Split on whitespace where the tokens alternate id and separator and
+    every ``>`` (every ``=`` of a ``>``-chunk) is a token of its own; any
+    other ranking or chunk is split on the separators and stripped, the only
+    route that words an empty id or keeps an odd one, such as ``s1 s2``."""
+    if "=" not in text:
+        toks = text.split()
+        seps = toks[1::2]
+        if len(toks) % 2 and seps.count(">") == len(seps) == text.count(">"):
+            return WeakOrder.strict(toks[::2])
+        order = WeakOrder.strict(map(str.strip, text.split(">")))
     else:
-        order = WeakOrder.strict(map(str.strip, chunks))
+        classes = []
+        for chunk in text.split(">"):
+            toks = chunk.split()
+            whole = len(toks) % 2 and toks[1::2].count("=") == len(toks) // 2 == chunk.count("=")
+            classes.append(tuple(toks[::2]) if whole else tuple(map(str.strip, chunk.split("="))))
+        order = WeakOrder(tuple(classes))
     if "" in order.items():
         raise ParseError("empty id in ranking", lineno)
     return order

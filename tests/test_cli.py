@@ -351,6 +351,29 @@ print("networkx" in sys.modules)
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_loads_only_what_solve_needs():
+    """``import schoolmatch.cli``, and then an EADAM solve, load the parser,
+    the model, the mechanisms and the report's ``analysis`` (with ``oracle``,
+    which ``is_reasonably_fair``'s default bound needs), nothing else."""
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = f"""
+import contextlib, io, sys
+loaded = lambda: print(sorted(m for m in sys.modules if m.split(".")[0] == "schoolmatch"))
+import schoolmatch.cli
+loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert schoolmatch.cli.main(["solve", "--mechanism", "eadam", {fix("scp3")!r}]) == 0
+loaded()
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    want = ["schoolmatch", *(f"schoolmatch.{m}" for m in (
+        "analysis", "cli", "errors", "mechanisms", "model", "oracle", "textio"))]
+    assert proc.stdout == f"{want}\n{want}\n"
+
+
 def test_enumerating_commands_run_without_networkx():
     """With networkx unimportable, the commands that enumerate cycles
     print their golden output on every fixture."""

@@ -14,7 +14,7 @@ from schoolmatch import (
     validate,
 )
 from schoolmatch import eadam, oracle, sosm, strategy, textio
-from schoolmatch.model import _shuffle
+from schoolmatch.model import _index_list, _rank_row, _shuffle
 from conftest import FIXTURES
 from test_oracle import _weak_order
 
@@ -40,6 +40,28 @@ def test_integer_rows_follow_rank_map():
         assert view.seats == [inst.capacity[s] for s in schools]
         assert inst.pref_rows == [
             [rank(inst.prefs[i], s) for s in (*schools, UNASSIGNED)] for i in students]
+
+
+def test_rank_rows_follow_the_one_rank_rule():
+    """A rank row, built with or without its items' indices, holds each
+    item's ``rank_map`` rank and then unassigned's, on strict, weak and
+    truncated orders."""
+    rng = random.Random(18)
+    kinds = set()
+    for _ in range(2000):
+        names = [f"s{k}" for k in range(1, rng.randint(1, 7))]
+        index = {x: k for k, x in enumerate(names)}
+        truncate = rng.random() < 0.5
+        if rng.random() < 0.5:
+            order = WeakOrder.strict(rng.sample(names, rng.randint(0, len(names)) if truncate
+                                                else len(names)))
+        else:
+            order = _weak_order(rng, names, truncate)
+        kinds.add((order.is_strict, len(order.items()) < len(names)))
+        want = [order.rank_map[x] for x in index] + [order.rank_map[None]]
+        assert _rank_row(order, index) == want
+        assert _rank_row(order, index, _index_list(order, index)) == want
+    assert len(kinds) == 4
 
 
 VIEWS = tuple(name for name, attr in vars(Instance).items() if isinstance(attr, cached_property))

@@ -5,6 +5,7 @@ import pytest
 
 from schoolmatch import Instance, Matching, WeakOrder, sosm, tie_break, validate
 from schoolmatch import textio
+from schoolmatch.cli import main
 from schoolmatch.errors import ParseError
 from test_oracle import _weak_order
 
@@ -381,3 +382,101 @@ def test_parser_hands_over_fresh_views():
             orders = [*inst.prefs.values(), *inst.prios.values()]
             assert not any("rank_map" in vars(order) for order in orders)
     assert moved > 100
+
+
+def split_parse_order(text, lineno):
+    """The ranking split that tokenizing on whitespace must match: split on
+    ``>`` (and ``=``) and strip every piece."""
+    chunks = text.split(">")
+    if "=" in text:
+        order = WeakOrder(tuple(tuple(map(str.strip, c.split("="))) for c in chunks))
+    else:
+        order = WeakOrder.strict(map(str.strip, chunks))
+    if "" in order.items():
+        raise ParseError("empty id in ranking", lineno)
+    return order
+
+
+RANKING_IDS = ("s1", "s2", "s3", "i1", "i2", "x") * 5 + ("s1 s2", "a\tb", "")
+GAPS = (" ",) * 8 + ("", "", "  ", "\t", " \t ", "\xa0")
+
+
+def random_ranking(rng):
+    """Random ids joined by ``>`` and ``=`` in runs of spaces and tabs, some
+    glued to their neighbours; some ids have inner spaces or are empty, and
+    some rankings start or end with a separator."""
+    ids = [rng.choice(RANKING_IDS) for _ in range(rng.randint(0, 7))]
+    pieces = [ids[0]] if ids else []
+    for x in ids[1:]:
+        pieces += [rng.choice(">>>=="), x]
+    if rng.random() < 0.1:
+        pieces.insert(0, rng.choice("><="))
+    if rng.random() < 0.1:
+        pieces.append(rng.choice(">="))
+    return rng.choice(GAPS) + "".join(p + rng.choice(GAPS) for p in pieces)
+
+
+def test_tokenized_rankings_match_the_separator_split():
+    """On 6,000 generated rankings the parser returns the order, or raises
+    the error, of splitting on the separators and stripping."""
+    rng = random.Random(18)
+    parsed = failed = weak = 0
+    for _ in range(6000):
+        text = random_ranking(rng)
+        got = outcome(lambda t: textio._parse_order(t, 3), text)
+        want = outcome(lambda t: split_parse_order(t, 3), text)
+        assert got == want, text
+        if isinstance(want, WeakOrder):
+            assert (got.is_strict, got.classes) == (want.is_strict, want.classes), text
+            parsed += 1
+            weak += not want.is_strict
+        else:
+            failed += 1
+    assert min(parsed, failed, weak) > 1000
+
+
+MALFORMED = """students i1 i2
+schools s1 s2 s3
+pref i1: s1 > s2 > s3
+pref i2: s2 = s1 > s3
+prio s1: i1 > i2
+prio s2: i2 = i1
+prio s3: i1 > i2
+"""
+
+
+@pytest.mark.parametrize("lines, error", [
+    (["pref i1:"], "line 3: empty id in ranking"),
+    (["pref i1: > s1 > s2 > s3"], "line 3: empty id in ranking"),
+    (["pref i1: s1 > s2 > s3 >"], "line 3: empty id in ranking"),
+    (["pref i1: s1 > > s2 > s3"], "line 3: empty id in ranking"),
+    (["pref i1: s1 = = s2 > s3"], "line 3: empty id in ranking"),
+    (["pref i1: = s1 > s2 > s3"], "line 3: empty id in ranking"),
+    (["pref i1: s1 > s2 = > s3"], "line 3: empty id in ranking"),
+    (["pref i1: s1 s2 > s3"], "invalid instance: profile of i1: unknown school s1 s2; "
+                              "profile of i1: missing schools ['s1', 's2']"),
+    (["pref i1: s1>s2>s9"], "invalid instance: profile of i1: unknown school s9; "
+                            "profile of i1: missing schools ['s3']"),
+    (["pref i1: s1 > s2 > s1"], "invalid instance: profile of i1: duplicate school s1; "
+                                "profile of i1: missing schools ['s3']"),
+    (["pref i1:\ts1 >\ts2\t> s3 s4"], "invalid instance: profile of i1: unknown school s3 s4; "
+                                      "profile of i1: missing schools ['s3']"),
+    (["prio s2: i2=i1=i9"], "invalid instance: priority of s2: unknown student i9"),
+    (["prio s1: i1 i2"], "invalid instance: priority of s1: unknown student i1 i2; "
+                         "priority of s1: missing students ['i1', 'i2']"),
+    (["prio s1: i1 = i2 = i2"], "invalid instance: priority of s1: duplicate student i2"),
+    (["pref i1: s1 s2 > s3", "prio s3: i1 >"], "line 7: empty id in ranking"),
+])
+def test_malformed_ranking_error_lines(tmp_path, capsys, lines, error):
+    """Each kind of malformed ranking line, put in place of the line of the
+    same owner, gives the CLI's one ``error:`` line; a line-numbered error
+    comes before a fault that ``validate`` words."""
+    text = MALFORMED
+    for line in lines:
+        owner = line.split(":")[0] + ":"
+        text = "".join(line + "\n" if old.startswith(owner) else old + "\n"
+                       for old in text.splitlines())
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["solve", "--mechanism", "da", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
