@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .mechanisms import sosm
-from .model import Instance, Matching, rank
+from .model import Instance, Matching
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,9 @@ def is_stable(instance: Instance, matching: Matching) -> bool:
 def dominates(instance: Instance, a: Matching, b: Matching) -> bool:
     """True iff ``a`` weakly improves every student over ``b`` and strictly
     improves at least one (ranks taken in each student's own profile)."""
-    strict = False
-    for i in instance.students:
-        profile = instance.prefs[i]
-        ra, rb = rank(profile, a[i]), rank(profile, b[i])
-        if ra > rb:
-            return False
-        if ra < rb:
-            strict = True
-    return strict
+    ranks = [(row[j], row[k]) for row, j, k in
+             zip(instance.pref_rows, a.seats(instance), b.seats(instance))]
+    return all(ra <= rb for ra, rb in ranks) and any(ra < rb for ra, rb in ranks)
 
 
 def is_efficient(instance: Instance, matching: Matching) -> bool:
@@ -120,6 +114,6 @@ def is_reasonably_fair(
     1962), at any size.  With ties that question is NP-complete (Manlove et
     al. 2002), so the bounded oracle enumerates the stable set."""
     rivals = [sosm(instance)[0]] if instance.is_strict else oracle.stable_set(instance, bound)
-    ranks = instance.pref_rank
-    return not any(ranks[i][rival[i]] < ranks[i][matching[i]]
-                   for rival in rivals for i in instance.students)
+    rows, seat = instance.pref_rows, matching.seats(instance)
+    return not any(row[j] < row[k] for rival in rivals
+                   for row, j, k in zip(rows, rival.seats(instance), seat))

@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 
 from .errors import InstanceTooLargeError
 from .mechanisms import eadam, sosm
-from .model import Instance, Matching, WeakOrder, rank
+from .model import Instance, Matching, WeakOrder
 from . import trading
 
 
@@ -43,7 +43,7 @@ def _loop_links(loops: Iterable[tuple[str, ...]]):
             yield member, loop[idx - 1], loop[(idx + 1) % k]
 
 
-def _check_loops(instance: Instance, baseline: Matching, loops) -> None:
+def _check_loops(instance: Instance, seat: list[int], loops) -> None:
     seen: set[str] = set()
     for loop in loops:
         for member in loop:
@@ -52,9 +52,10 @@ def _check_loops(instance: Instance, baseline: Matching, loops) -> None:
             if member in seen:
                 raise ValueError(f"student {member} appears in two cabal loops")
             seen.add(member)
+    index, rows = instance.student_index, instance.pref_rows
     for member, pred, _ in _loop_links(loops):
-        if rank(instance.prefs[member], baseline[pred]) >= \
-                rank(instance.prefs[member], baseline[member]):
+        row = rows[index[member]]
+        if row[seat[index[pred]]] >= row[seat[index[member]]]:
             raise ValueError(
                 f"invalid cabal loop: {member} does not strictly prefer "
                 f"{pred}'s baseline school"
@@ -69,28 +70,23 @@ def accomplice_set(
     A student joins if she ranks some cabal member's baseline school above
     her own while that school ranks her above the member's loop successor.
     """
-    _check_loops(instance, baseline, loops)
+    seat = baseline.seats(instance)
+    _check_loops(instance, seat, loops)
     links = list(_loop_links(loops))
     displaced = {i: moved for i in instance.students
-                 if (moved := _displaced(instance, baseline, links, i))}
+                 if (moved := _displaced(instance, seat, links, i))}
     return tuple(displaced), displaced
 
 
-def _displaced(instance: Instance, baseline: Matching, links, i: str) -> frozenset[str]:
+def _displaced(instance: Instance, seat: list[int], links, i: str) -> frozenset[str]:
     """Baseline schools of cabal members that student ``i`` ranks above
     her own while the school ranks her above the member's loop successor."""
-    prio_rank = instance.prio_rank
-    moved: set[str] = set()
-    for member, _, successor in links:
-        school = baseline[member]
-        if member == i or school is None:
-            continue
-        if (
-            rank(instance.prefs[i], school) < rank(instance.prefs[i], baseline[i])
-            and prio_rank[school][i] < prio_rank[school][successor]
-        ):
-            moved.add(school)
-    return frozenset(moved)
+    index, prio = instance.student_index, instance.int_view.prio_rows
+    k = index[i]
+    row = instance.pref_rows[k]
+    return frozenset(instance.schools[j] for member, _, successor in links
+                     if member != i and (j := seat[index[member]]) >= 0
+                     and row[j] < row[seat[k]] and prio[j][k] < prio[j][index[successor]])
 
 
 def falsified_profile(
@@ -235,5 +231,6 @@ def eadam_as_coalition(instance: Instance, consenters: Iterable[str]) -> Coaliti
         if any(p.student == i for rnd in result.removals for p in rnd)
     )
     links = list(_loop_links(loops))
-    displaced = {i: _displaced(instance, baseline, links, i) for i in accomplices}
+    seat = baseline.seats(instance)
+    displaced = {i: _displaced(instance, seat, links, i) for i in accomplices}
     return Coalition(loops, accomplices, displaced)

@@ -3,9 +3,8 @@
 Students and schools are identified by plain strings.  An unassigned
 student is represented by ``UNASSIGNED`` (``None``).  Preference profiles
 and priority structures share one representation, :class:`WeakOrder`: an
-ordered tuple of indifference classes, earlier classes preferred.  Its
-:attr:`WeakOrder.rank_map` is the one rank rule: listed classes, then
-``UNASSIGNED``, then anything not on the list.
+ordered tuple of indifference classes, earlier classes preferred.
+:func:`rank` states the one rank rule; the integer rank rows hold its values.
 """
 
 from __future__ import annotations
@@ -18,14 +17,6 @@ from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional
 
 UNASSIGNED = None
-
-
-class _RankTable(dict):
-    """Class index by item; an item off the list ranks just below
-    ``UNASSIGNED``, which ranks just below the last class."""
-
-    def __missing__(self, item):
-        return self[UNASSIGNED] + 1
 
 
 class WeakOrder:
@@ -69,18 +60,6 @@ class WeakOrder:
     def _key(self):
         return self._items if self.is_strict else self.classes
 
-    @cached_property
-    def rank_map(self) -> dict[Optional[str], int]:
-        # UNASSIGNED goes in first: a late non-str key would re-table the
-        # dict at three times its size.
-        if self.is_strict:
-            n, ranks = len(self._items), range(1, len(self._items) + 1)
-        else:
-            n, ranks = len(self.classes), [r for r, cl in enumerate(self.classes, start=1) for _ in cl]
-        table = _RankTable({UNASSIGNED: n + 1})
-        table.update(zip(self._items, ranks))
-        return table
-
     def items(self) -> tuple[str, ...]:
         return self._items
 
@@ -96,15 +75,25 @@ PriorityStructure = WeakOrder
 
 
 def rank(profile: WeakOrder, item: Optional[str]) -> int:
-    """Class index of ``item`` (1 = top); UNASSIGNED ranks just below all
-    classes and an item off the list just below UNASSIGNED."""
-    return profile.rank_map[item]
+    """The one rank rule: for an order of n classes, ``item``'s class index
+    1..n (1 = top), n + 1 for UNASSIGNED and n + 2 for an item off the list."""
+    if profile.is_strict:
+        items = profile.items()
+        if item in items:
+            return items.index(item) + 1
+        n = len(items)
+    else:
+        for r, cl in enumerate(profile.classes, 1):
+            if item in cl:
+                return r
+        n = len(profile.classes)
+    return n + 1 if item is UNASSIGNED else n + 2
 
 
 @dataclass(frozen=True)
 class IntView:
     """An instance on indices: student k's list of school indices, each
-    school's ``rank_map`` rank of each student k, and the seat counts.
+    school's :func:`rank` of each student k, and the seat counts.
     Rows are shared between instances; never mutate them."""
 
     lists: list[tuple[int, ...]]
@@ -148,14 +137,6 @@ class Instance:
     @cached_property
     def is_strict(self) -> bool:
         return self.has_strict_prefs and all(p.is_strict for p in self.prios.values())
-
-    @cached_property
-    def pref_rank(self) -> dict[str, dict[Optional[str], int]]:
-        return {i: self.prefs[i].rank_map for i in self.students}
-
-    @cached_property
-    def prio_rank(self) -> dict[str, dict[Optional[str], int]]:
-        return {s: self.prios[s].rank_map for s in self.schools}
 
     @cached_property
     def int_view(self) -> IntView:
@@ -204,7 +185,7 @@ def _index_list(order: WeakOrder, index: Mapping[str, int]) -> tuple[int, ...]:
 
 
 def _rank_row(order: WeakOrder, index: Mapping[str, int], ks=None) -> list[int]:
-    """``order.rank_map`` by item index, unassigned last.  A strict order fills
+    """:func:`rank` of each item by index, unassigned last.  A strict order fills
     it in one pass over its item indices (``ks``, if known), a weak one class
     by class."""
     strict = order.is_strict
@@ -245,9 +226,13 @@ class Matching:
 
     def seats(self, instance: Instance) -> list[int]:
         """The inverse of :meth:`of_seats`: a school index per student, -1
-        for unassigned."""
+        for unassigned.  A school the instance does not declare is an error."""
         index = instance.school_index
-        return [index.get(self[i], -1) for i in instance.students]
+        seat = [index.get(self[i], -1) for i in instance.students]
+        stray = {self[i] for i, j in zip(instance.students, seat) if j < 0} - {UNASSIGNED}
+        if stray:
+            raise ValueError(f"matching assigns undeclared schools {sorted(stray)}")
+        return seat
 
     def as_dict(self) -> dict[str, Optional[str]]:
         return dict(self.pairs)

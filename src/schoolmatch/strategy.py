@@ -87,10 +87,9 @@ class QualityPartition:
         raise KeyError(school)
 
     def respects(self, profile: WeakOrder) -> bool:
-        ranks = profile.rank_map
         for k in range(len(self.classes) - 1):
-            top = max(ranks[s] for s in self.classes[k])
-            bottom = min(ranks[s] for s in self.classes[k + 1])
+            top = max(rank(profile, s) for s in self.classes[k])
+            bottom = min(rank(profile, s) for s in self.classes[k + 1])
             if top >= bottom:
                 return False
         return True

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 from .errors import CycleLimitExceededError, SearchLimitExceededError
 from .mechanisms import _deferred_acceptance, sosm
-from .model import Instance, Matching, rank, tie_break
+from .model import Instance, Matching, tie_break
 
 DEFAULT_CYCLE_LIMIT = 10**6
 DEFAULT_MAX_VISITED = 100_000
@@ -411,9 +411,10 @@ def realize_domination(
         return None
 
     cliques: list[Clique] = []
+    index, rows = instance.student_index, instance.pref_rows
+    was, now = baseline.seats(instance), target.seats(instance)
     for cycle in seat_cycles(baseline, target):
-        better = any(rank(instance.prefs[i], target[i]) < rank(instance.prefs[i], baseline[i])
-                     for i in cycle)
+        better = any(rows[k][now[k]] < rows[k][was[k]] for k in map(index.__getitem__, cycle))
         cliques.append(Clique(tuple(cycle), CliqueKind.TRADING if better else CliqueKind.NULL))
     cliques.sort(key=lambda c: c.kind is CliqueKind.NULL)  # trading first
     return cliques

@@ -8,7 +8,7 @@ it.  Imported from test modules as ``networkx_route``.
 """
 
 from schoolmatch.errors import CycleLimitExceededError
-from schoolmatch.model import Matching
+from schoolmatch.model import Matching, rank
 from schoolmatch.trading import Clique, CliqueKind, MatchGraph
 
 DEFAULT_CYCLE_LIMIT = 10**6
@@ -65,8 +65,8 @@ def apply_clique(instance, matching: Matching, clique: Clique) -> Matching:
     cycle = clique.cycle
     assignment = matching.as_dict()
     for i, j in zip(cycle, cycle[1:] + cycle[:1]):
-        ranks = instance.pref_rank[i]
-        if i == j or ranks[matching[j]] > ranks[matching[i]]:
+        profile = instance.prefs[i]
+        if i == j or rank(profile, matching[j]) > rank(profile, matching[i]):
             raise ValueError(f"stale clique: edge {i}->{j} no longer valid")
         assignment[i] = matching[j]
     return Matching.of(assignment, instance)

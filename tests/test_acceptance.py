@@ -15,7 +15,7 @@ from schoolmatch import (
 )
 from schoolmatch import coalitions, oracle, strategy, textio, trading
 from schoolmatch.mechanisms import eadam, hopeless_students
-from schoolmatch.model import WeakOrder
+from schoolmatch.model import WeakOrder, rank
 from schoolmatch.strategy import Verdict, random_strict_instance
 
 import networkx_route
@@ -203,7 +203,7 @@ def test_criterion_7_property_sweeps(announce):
                 candidates = [
                     i for i in inst.students
                     if outcome[i] is not None
-                    and inst.pref_rank[i][outcome[i]] > 1
+                    and rank(inst.prefs[i], outcome[i]) > 1
                 ]
                 if not candidates:
                     continue

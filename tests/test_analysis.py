@@ -17,7 +17,7 @@ from schoolmatch import (
 from schoolmatch.analysis import ViolationRecord
 from schoolmatch.errors import InstanceTooLargeError
 from schoolmatch.mechanisms import eadam
-from schoolmatch.model import Instance, WeakOrder, tie_break
+from schoolmatch.model import Instance, WeakOrder, rank, tie_break
 from schoolmatch.strategy import random_strict_instance
 from schoolmatch import oracle, trading
 
@@ -171,7 +171,6 @@ def reference_priority_violations(instance, matching):
     """Every school, every student and every holder, as written before the
     school cutoffs: O(m * n * capacity)."""
     records = []
-    pref_rank, prio_rank = instance.pref_rank, instance.prio_rank
     for s in instance.schools:
         holders = matching.students_at(s)
         if not holders:
@@ -180,10 +179,10 @@ def reference_priority_violations(instance, matching):
             assigned = matching[victim]
             if assigned == s:
                 continue
-            if pref_rank[victim][s] >= pref_rank[victim][assigned]:
+            if rank(instance.prefs[victim], s) >= rank(instance.prefs[victim], assigned):
                 continue
             for violator in holders:
-                if prio_rank[s][victim] < prio_rank[s][violator]:
+                if rank(instance.prios[s], victim) < rank(instance.prios[s], violator):
                     records.append(ViolationRecord(violator, victim, s))
     records.sort(key=lambda r: (instance.school_index[r.school],
                                 instance.student_index[r.victim],
@@ -193,16 +192,16 @@ def reference_priority_violations(instance, matching):
 
 def vacant_seat_envy(instance, matching):
     """Some student ranks a school with a free seat above her own seat."""
-    fill, pref_rank = matching.fill_counts(), instance.pref_rank
-    return any(pref_rank[i][s] < pref_rank[i][matching[i]]
+    fill = matching.fill_counts()
+    return any(rank(instance.prefs[i], s) < rank(instance.prefs[i], matching[i])
                for i in instance.students for s in instance.schools
                if fill.get(s, 0) < instance.capacity[s])
 
 
 def below_unassigned(instance, matching):
     """Some student ranks her own seat below having none."""
-    pref_rank = instance.pref_rank
-    return any(pref_rank[i][matching[i]] > pref_rank[i][None] for i in instance.students)
+    return any(rank(instance.prefs[i], matching[i]) > rank(instance.prefs[i], None)
+               for i in instance.students)
 
 
 def _weak_order(rng, items):
@@ -245,7 +244,7 @@ def test_priority_violations_match_reference():
                 expected = reference_priority_violations(judged, matching)
                 assert priority_violations(judged, matching) == expected
                 assert preference_index(judged, matching) == sum(
-                    judged.pref_rank[i][matching[i]] - 1 for i in students)
+                    rank(judged.prefs[i], matching[i]) - 1 for i in students)
                 vacant = vacant_seat_envy(judged, matching)
                 unacceptable = below_unassigned(judged, matching)
                 assert is_stable(judged, matching) == (

@@ -11,7 +11,7 @@ import pytest
 
 from schoolmatch import sosm, textio, ttc
 from schoolmatch.cli import main
-from schoolmatch.model import WeakOrder
+from schoolmatch.model import WeakOrder, rank, tie_break
 from schoolmatch.strategy import random_strict_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -158,9 +158,9 @@ def test_analyze_strict_instance_past_the_oracle_bound(tmp_path, capsys):
     mpath.write_text(textio.serialize_matching(matching))
     code, report = run_json(capsys, "analyze", "--matching", str(mpath), str(path))
     assert code == 0
-    da, ranks = sosm(inst)[0], inst.pref_rank
+    da = sosm(inst)[0]
     assert report["reasonably_fair"] is all(
-        ranks[i][matching[i]] <= ranks[i][da[i]] for i in inst.students)
+        rank(inst.prefs[i], matching[i]) <= rank(inst.prefs[i], da[i]) for i in inst.students)
 
     weak = inst.replace_prefs({"i1": WeakOrder.of([inst.schools[:2], inst.schools[2:]])})
     path.write_text(textio.serialize_instance(weak))
@@ -168,6 +168,29 @@ def test_analyze_strict_instance_past_the_oracle_bound(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: 10 students exceed") and captured.err.count("\n") == 1
+
+
+ANALYZE = json.loads((FIXTURES / "analyze_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(ANALYZE))
+def test_analyze_matches_pinned_output(tmp_path, capsys, key):
+    """``analyze_outputs.json`` holds ``analyze`` in text and json-like form
+    on each fixture against its TTC matching (canonical tie-break); it must
+    not change by a byte."""
+    name, command = key.split()
+    inst = tie_break(textio.parse_instance(Path(fix(name)).read_text()), 0)
+    matching = tmp_path / "m.txt"
+    matching.write_text(textio.serialize_matching(ttc(inst)))
+    form = ["--format", "json-like"] if command.endswith("-json") else []
+    code, out = run(capsys, *form, "analyze", "--matching", str(matching), fix(name))
+    assert code == 0
+    assert out == ANALYZE[key]
+
+
+def test_analyze_pins_cover_every_fixture():
+    forms = ("analyze-ttc", "analyze-ttc-json")
+    assert set(ANALYZE) == {f"{p.stem} {c}" for p in FIXTURES.glob("scp*.txt") for c in forms}
 
 
 def test_graph_dot(capsys):

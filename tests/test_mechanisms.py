@@ -1,4 +1,5 @@
 import collections
+import functools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from schoolmatch import Matching, is_stable, preference_index, sosm, ttc
 from schoolmatch.mechanisms import (
     DaStep, InterrupterPair, eadam, hopeless_students, interrupters,
 )
-from schoolmatch.model import UNASSIGNED, WeakOrder, Instance, tie_break
+from schoolmatch.model import UNASSIGNED, WeakOrder, Instance, rank, tie_break
 from schoolmatch.strategy import random_strict_instance
 from schoolmatch import oracle
 
@@ -85,7 +86,7 @@ def test_eadam_weakly_dominates_sosm():
         consent = tuple(i for i in inst.students if rng.random() < 0.5)
         result = eadam(inst, consent)
         for i in inst.students:
-            assert inst.pref_rank[i][result.matching[i]] <= inst.pref_rank[i][base[i]]
+            assert rank(inst.prefs[i], result.matching[i]) <= rank(inst.prefs[i], base[i])
 
 
 def test_eadam_rejects_unknown_consenters(scp3):
@@ -170,9 +171,21 @@ def test_ttc_keeps_placing_after_a_list_runs_out():
 # a minimum over all pointing students and resolves all cycles at every
 # round, and EADAM on top of the rescanning DA and named interrupters.
 
+def prio_ranks(inst):
+    """Each school's rank of each student, by name."""
+    return {s: student_ranks(inst.prios[s], inst.students) for s in inst.schools}
+
+
+@functools.lru_cache(maxsize=1024)
+def student_ranks(order, students):
+    """:func:`rank` of each student; kept across the DA reruns of one
+    reference EADAM run, which share their priorities."""
+    return {i: rank(order, i) for i in students}
+
+
 def rescanning_sosm(inst):
     lists = {i: inst.prefs[i].strict_sequence() for i in inst.students}
-    prio = inst.prio_rank
+    prio = prio_ranks(inst)
     pointer = dict.fromkeys(inst.students, 0)
     held_at = dict.fromkeys(inst.students, UNASSIGNED)
     holds = {s: [] for s in inst.schools}
@@ -233,6 +246,7 @@ def step_hopeless(steps):
 
 
 def rescanning_ttc(inst):
+    prio = prio_ranks(inst)
     seats = dict(inst.capacity)
     unassigned = list(inst.students)
     assignment = dict.fromkeys(inst.students, UNASSIGNED)
@@ -244,7 +258,7 @@ def rescanning_ttc(inst):
                 student_pt[i] = choices[0]
         if not student_pt:
             return Matching.of(assignment, inst)
-        school_pt = {s: min(student_pt, key=inst.prio_rank[s].__getitem__)
+        school_pt = {s: min(student_pt, key=prio[s].__getitem__)
                      for s in inst.schools if seats[s] > 0}
         in_cycle = _functional_cycles(student_pt, school_pt)
         for i in in_cycle:

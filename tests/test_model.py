@@ -14,14 +14,15 @@ from schoolmatch import (
     validate,
 )
 from schoolmatch import eadam, oracle, sosm, strategy, textio
+from schoolmatch import dominates, is_reasonably_fair, preference_index
 from schoolmatch.model import _index_list, _rank_row, _shuffle
 from conftest import FIXTURES
 from test_oracle import _weak_order
 
 
 def test_integer_rows_follow_rank_map():
-    """The integer view and the students' rank rows hold exactly the ranks
-    of each order's ``rank_map``, on weak and truncated orders too."""
+    """The integer view and the students' rank rows hold exactly each
+    order's :func:`rank` values, on weak and truncated orders too."""
     rng = random.Random(3)
     for _ in range(500):
         n, m = rng.randint(0, 5), rng.randint(1, 4)
@@ -44,7 +45,7 @@ def test_integer_rows_follow_rank_map():
 
 def test_rank_rows_follow_the_one_rank_rule():
     """A rank row, built with or without its items' indices, holds each
-    item's ``rank_map`` rank and then unassigned's, on strict, weak and
+    item's :func:`rank` and then unassigned's, on strict, weak and
     truncated orders."""
     rng = random.Random(18)
     kinds = set()
@@ -58,7 +59,7 @@ def test_rank_rows_follow_the_one_rank_rule():
         else:
             order = _weak_order(rng, names, truncate)
         kinds.add((order.is_strict, len(order.items()) < len(names)))
-        want = [order.rank_map[x] for x in index] + [order.rank_map[None]]
+        want = [rank(order, x) for x in index] + [rank(order, None)]
         assert _rank_row(order, index) == want
         assert _rank_row(order, index, _index_list(order, index)) == want
     assert len(kinds) == 4
@@ -223,6 +224,21 @@ def test_matching_lookup_and_fill(scp4):
     assert m.students_at("s2") == ("i1", "i2")
 
 
+def test_seats_reject_an_undeclared_school(scp1):
+    """Only UNASSIGNED reads as seat -1.  A school the instance does not
+    declare is named in a ValueError, by ``seats`` and by the predicates
+    that compare seats, instead of passing for unassigned."""
+    da = sosm(scp1)[0]
+    free = Matching.of({**da.as_dict(), "i1": UNASSIGNED}, scp1)
+    assert free.seats(scp1) == [-1, *da.seats(scp1)[1:]]
+    bad = Matching.of({**da.as_dict(), "i1": "zz"}, scp1)
+    for check in (bad.seats, lambda inst: dominates(inst, da, bad),
+                  lambda inst: is_reasonably_fair(inst, bad),
+                  lambda inst: preference_index(inst, bad)):
+        with pytest.raises(ValueError, match=r"undeclared schools \['zz'\]"):
+            check(scp1)
+
+
 def test_strict_order_keeps_only_its_items():
     """A strict order stores its items, not one class per item, and builds
     ``classes`` on first read; equality and hashing see the classes."""
@@ -232,7 +248,7 @@ def test_strict_order_keeps_only_its_items():
     assert "classes" not in vars(compact) and "classes" not in vars(classed)
     assert compact.classes == (("s3",), ("s1",), ("s2",)) == classed.classes
     assert repr(compact) == "WeakOrder(classes=(('s3',), ('s1',), ('s2',)))"
-    assert compact.rank_map == {None: 4, "s3": 1, "s1": 2, "s2": 3}
+    assert [rank(compact, x) for x in (None, "s3", "s1", "s2")] == [4, 1, 2, 3]
     weak = WeakOrder((("s3", "s1"), ("s2",)))
     assert weak != compact and weak.items() == compact.items() and weak.classes[0] == ("s3", "s1")
     assert WeakOrder.strict([]) == WeakOrder(()) and WeakOrder.strict([]).is_strict

@@ -8,7 +8,7 @@ from schoolmatch import (
 )
 from schoolmatch import oracle, trading
 from schoolmatch.errors import InstanceTooLargeError
-from schoolmatch.model import Instance, WeakOrder, tie_break
+from schoolmatch.model import Instance, WeakOrder, rank, tie_break
 
 
 def tiny(n_students, n_schools):
@@ -124,8 +124,8 @@ def _brute_force(inst, ref):
     stable = {m for m in every if is_stable(inst, m)}
     candidates = [m for m in every if m == ref or dominates(inst, m, ref)]
     efficient = {c for c in candidates if not any(dominates(inst, o, c) for o in candidates)}
-    ranks = inst.pref_rank
-    fair = not any(ranks[i][m[i]] < ranks[i][ref[i]] for m in stable for i in inst.students)
+    fair = not any(rank(inst.prefs[i], m[i]) < rank(inst.prefs[i], ref[i])
+                   for m in stable for i in inst.students)
     return stable, efficient, not any(dominates(inst, m, ref) for m in every), fair
 
 
@@ -185,9 +185,10 @@ def test_reasonable_fairness_by_da_matches_stable_set():
         )
         seats = [s for s in schools for _ in range(inst.capacity[s])] + [None] * n
         rng.shuffle(seats)
-        stable, ranks = oracle.stable_set(inst), inst.pref_rank
+        stable = oracle.stable_set(inst)
         for ref in (sosm(inst)[0], ttc(inst), Matching.of(dict(zip(students, seats)), inst)):
-            fair = not any(ranks[i][t[i]] < ranks[i][ref[i]] for t in stable for i in students)
+            fair = not any(rank(inst.prefs[i], t[i]) < rank(inst.prefs[i], ref[i])
+                           for t in stable for i in students)
             assert is_reasonably_fair(inst, ref) == fair
             seen[fair] += 1
         seen["shortage"] += sum(inst.capacity.values()) < n

@@ -50,7 +50,7 @@ def test_ttc_matches_rescanning_and_is_efficient(inst, lottery):
     assert matching == rescanning_ttc(strict)
     acceptable = (
         m for m in oracle.enumerate_matchings(strict)
-        if all(s is UNASSIGNED or s in strict.pref_rank[i] for i, s in m.pairs)
+        if all(s is UNASSIGNED or s in strict.prefs[i].items() for i, s in m.pairs)
     )
     assert not any(dominates(strict, m, matching) for m in acceptable)
 

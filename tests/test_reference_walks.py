@@ -146,7 +146,7 @@ def reference_displaced_for(instance, baseline, loops, students):
                 continue
             if (
                 rank(instance.prefs[i], school) < rank(instance.prefs[i], baseline[i])
-                and instance.prio_rank[school][i] < instance.prio_rank[school][successor]
+                and rank(instance.prios[school], i) < rank(instance.prios[school], successor)
             ):
                 moved.add(school)
         displaced[i] = frozenset(moved)

@@ -360,7 +360,7 @@ def test_parser_hands_over_fresh_views():
     declarations split and moved: the parsed instance equals the one parsed
     from the text as written, comes with its id indexes, ``int_view`` and ``pref_rows``
     built and equal to a fresh instance's, and ``tie_break`` builds no view
-    of it (nor a ``rank_map`` of its orders)."""
+    of it."""
     rng = random.Random(62)
     texts = corpus()
     assert sum("\t" in shuffled_declarations(text, rng) for text in texts) > 100
@@ -379,8 +379,6 @@ def test_parser_hands_over_fresh_views():
                 tie_break(inst, seed)
             assert vars(inst).keys() - built.keys() <= {"has_strict_prefs", "is_strict"}
             assert all(vars(inst)[name] is built[name] for name in VIEWS)
-            orders = [*inst.prefs.values(), *inst.prios.values()]
-            assert not any("rank_map" in vars(order) for order in orders)
     assert moved > 100
 
 

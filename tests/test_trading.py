@@ -1,4 +1,5 @@
 import collections
+import functools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from schoolmatch import Matching, is_efficient, preference_index, sosm, ttc
 from schoolmatch import oracle, textio, trading
 from schoolmatch.errors import CycleLimitExceededError, SearchLimitExceededError
-from schoolmatch.model import Instance, WeakOrder, tie_break
+from schoolmatch.model import Instance, WeakOrder, rank, tie_break
 from schoolmatch.strategy import random_strict_instance
 
 import networkx_route
@@ -391,12 +392,19 @@ def test_to_dot(scp6):
     assert '"i2" -> "i1"' in dot
 
 
+@functools.lru_cache(maxsize=1024)
+def school_ranks(profile, schools):
+    """Name-keyed ranks of each school and of unassigned, from :func:`rank`;
+    kept across the graphs a reference run rebuilds after every clique."""
+    return {s: rank(profile, s) for s in (*schools, None)}
+
+
 def student_graph(instance, matching):
     """``build_graph`` as written before the seat graph, on name-keyed
     ranks, kept as a reference."""
     weights = {}
     for i in instance.students:
-        ranks = instance.pref_rank[i]
+        ranks = school_ranks(instance.prefs[i], instance.schools)
         own = ranks[matching[i]]
         for j in instance.students:
             if i != j and ranks[matching[j]] <= own:
@@ -462,8 +470,8 @@ def student_graph_is_efficient(instance, matching):
     free = [s for s in instance.schools if fill.get(s, 0) < instance.capacity[s]] + [None]
     weights = dict(graph.weights)
     for i in instance.students:
-        ranks = instance.pref_rank[i]
-        best, own = min(map(ranks.__getitem__, free)), ranks[matching[i]]
+        profile = instance.prefs[i]
+        best, own = min(rank(profile, s) for s in free), rank(profile, matching[i])
         if best <= own:
             weights[(i, vacancy)] = int(best < own)
         weights[(vacancy, i)] = 0
