@@ -94,14 +94,11 @@ def is_efficient(instance: Instance, matching: Matching) -> bool:
     starts on a weight-1 edge and, no two pointing alike, returns to her
     or reaches the vacancy, which leads to her.
     """
-    from .trading import MatchGraph, SeatGraph, has_trading_clique
-    seats = SeatGraph(instance, matching.seats(instance))
-    graph, n, m = seats.match_graph(), len(instance.students), len(instance.schools)
-    vacancy, fill = n + m + 1, Counter(seats.seat)
-    free = [g for g, s in enumerate(instance.schools) if fill[g] < instance.capacity[s]] + [m]
-    graph.weights.update(((n + g, vacancy), 0) for g in free)
-    graph.weights.update(((vacancy, n + g), 0) for g in range(m + 1))
-    return not has_trading_clique(MatchGraph((*graph.vertices, vacancy), graph.weights))
+    from .trading import SeatGraph, _trading_cycle
+    graph = SeatGraph(instance, matching.seats(instance))
+    fill, schools = Counter(graph.seat), instance.schools
+    return not _trading_cycle(graph, [g for g, s in enumerate(schools)
+                                      if fill[g] < instance.capacity[s]] + [len(schools)])
 
 
 def is_reasonably_fair(

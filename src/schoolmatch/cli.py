@@ -132,7 +132,7 @@ def _cmd_solve(args, out) -> int:
         extra["rounds"] = len(result.traces)
     elif args.mechanism == "tadam":
         from . import trading
-        result = trading.tadam_run(instance, policy)
+        result = trading.tadam_run(instance, policy, tiebreak=args.tiebreak)
         matching = result.matching
         extra["baseline"] = _matching_dict(result.baseline)
         extra["cliques"] = [" -> ".join(c.cycle) for c in result.applied]
@@ -219,7 +219,7 @@ def _cmd_enumerate(args, out) -> int:
         baseline, _ = sosm(strict)
         found = oracle.efficient_dominations_of(instance, baseline)
     elif args.what == "tadam":
-        found = trading.tadam_enumerate(instance).terminals
+        found = trading.tadam_enumerate(instance, tiebreak=args.tiebreak).terminals
     elif args.what == "coalitions":
         outcomes = coalitions.enumerate_coalitions(strict)
         report = {
@@ -286,7 +286,7 @@ def _cmd_graph(args, out) -> int:
     instance = _load_instance(args.file)
     strict = tie_break(instance, args.tiebreak)
     baseline, _ = sosm(strict)
-    out.write(trading.to_dot(trading.build_graph(instance, baseline)) + "\n")
+    out.write(trading.to_dot(trading.SeatGraph(instance, baseline.seats(instance))) + "\n")
     return 0
 
 
@@ -323,6 +323,8 @@ def _cmd_strategy(args, out) -> int:
     mechs = {name: strategy.mechanism_by_name(name) for name in ("da", "tadam")}
 
     if args.check == "dominance":
+        if args.file:
+            raise SchoolMatchError("--check dominance draws its instances; it takes no FILE")
         family = _parse_family(args.family or "2x2")
         truth = family.truth
         schools = truth.strict_sequence()

@@ -1,17 +1,16 @@
-"""Trading cycles over a matching: its seat-level and student-level trading
-graphs, trading/null clique detection, the clique-application mechanism run
-on top of the deferred-acceptance baseline, one walk over the matchings
-reachable by cliques, and seat permutations split into cycles.  Every
-cycle is found on a :class:`SeatGraph`; :func:`find_cliques` emits them
-already sorted, and with polynomial delay, as its docstring explains."""
+"""Trading cycles over a matching: its trading graph (:class:`SeatGraph`),
+trading/null clique detection, the clique-application mechanism run on top
+of the deferred-acceptance baseline, one walk over the matchings reachable
+by cliques, and seat permutations split into cycles.  Every cycle is found
+on the seat graph; :func:`find_cliques` emits them already sorted, and with
+polynomial delay, as its docstring explains."""
 
 from __future__ import annotations
 
 import enum
 import random
 from dataclasses import dataclass
-from operator import getitem
-from typing import Iterator, Optional
+from typing import Collection, Iterator, Optional
 
 from .errors import CycleLimitExceededError, SearchLimitExceededError
 from .mechanisms import _deferred_acceptance, sosm
@@ -19,16 +18,6 @@ from .model import Instance, Matching, tie_break
 
 DEFAULT_CYCLE_LIMIT = 10**6
 DEFAULT_MAX_VISITED = 100_000
-
-
-@dataclass(frozen=True)
-class MatchGraph:
-    """Directed graph with 0/1 edge weights.  From :func:`build_graph`: on
-    students, edge (i, j) when i weakly prefers j's seat to her own, with
-    weight 1 iff strictly."""
-
-    vertices: tuple
-    weights: dict[tuple, int]
 
 
 class CliqueKind(enum.Enum):
@@ -44,22 +33,13 @@ class Clique:
     kind: CliqueKind
 
 
-def build_graph(instance: Instance, matching: Matching) -> MatchGraph:
-    """Edge (i, j) when student i ranks j's seat no worse than her own,
-    weight 1 iff better: i points to j's group in the :class:`SeatGraph`."""
-    names, seat, rows = instance.students, matching.seats(instance), instance.pref_rows
-    return MatchGraph(names, {(i, j): 1 if row[t] < own else 0
-                              for i, row, own in zip(names, rows, map(getitem, rows, seat))
-                              for j, t in zip(names, seat) if row[t] <= own and i != j})
-
-
 class SeatGraph:
     """The trading graph on groups of seats: the schools, then
     "unassigned".  Student k points to every group she ranks no worse
     than her own, with weight 1 iff strictly better, and each group points
     to its holders.  ``seat[k]`` is k's group and ``into[g]`` maps each
-    student pointing to group g to the weight.  Student i points to j in
-    :func:`build_graph` iff i points to j's group, with the same weight.
+    student pointing to group g to the weight.  Student i points to j
+    when i points to j's group and i != j; cycles of students are cliques.
     Built from ``Instance.pref_rows`` and a :meth:`Matching.seats` vector."""
 
     def __init__(self, instance: Instance, seat: list[int]):
@@ -89,12 +69,10 @@ class SeatGraph:
         for k in cycle:
             self._point(k)
 
-    def match_graph(self) -> MatchGraph:
-        """Students 0..n-1, then group g as vertex n + g."""
-        n = len(self.seat)
-        weights = {(k, n + g): w for g, into in enumerate(self.into) for k, w in into.items()}
-        weights.update(((n + g, k), 0) for k, g in enumerate(self.seat))
-        return MatchGraph(tuple(range(n + len(self.into))), weights)
+
+def build_graph(instance: Instance, matching: Matching) -> SeatGraph:
+    """The :class:`SeatGraph` of ``matching``."""
+    return SeatGraph(instance, matching.seats(instance))
 
 
 def find_cliques(
@@ -102,9 +80,9 @@ def find_cliques(
     limit: int = DEFAULT_CYCLE_LIMIT,
     strict_edges: bool = False,
 ) -> list[Clique]:
-    """Every elementary cycle of the student graph (:func:`build_graph`),
-    trading if it has a weight-1 edge, else null; ``strict_edges`` keeps
-    only weight-1 edges.  Past ``limit`` cycles it raises with the least
+    """Every elementary cycle of students (see :class:`SeatGraph`), trading
+    if it has a weight-1 edge, else null; ``strict_edges`` keeps only
+    weight-1 edges.  Past ``limit`` cycles it raises with the least
     ``limit``.  For each least student v in turn, a depth-first search
     over the students above v, successors ascending, closes the path at v
     before extending it, so cycles come out sorted as index tuples.  It
@@ -206,48 +184,54 @@ def least_trading_clique(graph: SeatGraph) -> Optional[tuple[int, ...]]:
     return None
 
 
-def has_trading_clique(graph: MatchGraph) -> bool:
-    """True iff some cycle carries a weight-1 edge.
+def has_trading_clique(graph: SeatGraph) -> bool:
+    """True iff some cycle of students carries a weight-1 edge."""
+    return _trading_cycle(graph, ())
 
-    That holds iff some weight-1 edge (a, b) has both ends in one strongly
-    connected component: a shortest path from b back to a closes a simple
-    cycle.  The components come from Tarjan's search, kept iterative as
-    district graphs are too deep for recursion; any hashable vertex works.
+
+def _trading_cycle(graph: SeatGraph, vacant: Collection[int]) -> bool:
+    """True iff some weight-1 edge (k, g) has both ends in one strongly
+    connected component of the seat graph plus a vacancy vertex, which the
+    ``vacant`` groups point to and which points to every group.  With none
+    vacant, a shortest path from g back to k closes a cycle of students.
+    Vertices are the students 0..n-1, then group g as n + g, then the
+    vacancy, then a root pointing to all of them, where Tarjan's search
+    starts; it stays iterative, as district graphs are too deep for
+    recursion.  ``comp[v]`` is the first vertex of v's component.
     """
-    succ: dict = {v: [] for v in graph.vertices}
-    for i, j in graph.weights:
-        succ[i].append(j)
-    index: dict = {}
-    low: dict = {}
-    comp: dict = {}      # vertex -> the root of its component
-    stack: list = []     # visited vertices not yet in a component
-    work: list = []      # the search path, each with its unread out-edges
-
-    def visit(v) -> None:
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        work.append((v, iter(succ[v])))
-
-    for root in succ:
-        if root not in index:
-            visit(root)
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if w not in index:
-                    visit(w)
-                    break
-                if w not in comp:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    while v not in comp:
-                        comp[stack.pop()] = v
-    return any(w == 1 and comp[i] == comp[j] for (i, j), w in graph.weights.items())
+    n, vacancy = len(graph.seat), len(graph.seat) + len(graph.into)
+    succ = [[] for _ in range(n)] + [[vacancy] * (g in vacant) for g in range(len(graph.into))]
+    succ += [range(n, vacancy), range(vacancy + 1)]
+    for g, into in enumerate(graph.into):
+        for k in into:
+            succ[k].append(n + g)
+    for k, g in enumerate(graph.seat):
+        succ[n + g].append(k)
+    root = len(succ) - 1
+    index, low, comp = [-1] * len(succ), [0] * len(succ), [-1] * len(succ)
+    index[root] = count = 0
+    stack = [root]                      # visited vertices not yet in a component
+    work = [(root, iter(succ[root]))]   # the search path, each with its unread out-edges
+    while work:
+        v, edges = work[-1]
+        for w in edges:
+            if index[w] < 0:
+                index[w] = low[w] = count = count + 1
+                stack.append(w)
+                work.append((w, iter(succ[w])))
+                break
+            if comp[w] < 0 and index[w] < low[v]:
+                low[v] = index[w]
+        else:
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                while comp[v] < 0:
+                    comp[stack.pop()] = v
+    return any(w and comp[k] == comp[n + g]
+               for g, into in enumerate(graph.into) for k, w in into.items())
 
 
 @dataclass(frozen=True)
@@ -261,13 +245,14 @@ def tadam_run(
     instance: Instance,
     policy: "str | int" = "canonical",
     cycle_limit: int = DEFAULT_CYCLE_LIMIT,
+    tiebreak: int = 0,
 ) -> TadamResult:
     """Run deferred acceptance, then apply trading cliques until none remain.
 
     ``policy`` is either ``"canonical"`` (always take the canonically least
     trading clique) or an integer seed for a reproducible random choice.
-    Ties in preferences or priorities are broken with seed 0 for the
-    baseline run; the trading graph always uses the true weak preferences.
+    Ties in preferences or priorities are broken with seed ``tiebreak``
+    for the baseline run; the trading graph uses the true weak preferences.
     Null cliques are never applied (they change no ranks).  Every run
     trades in place on one :class:`SeatGraph`; canonical runs on strict
     preferences (priorities may be weak) pick each clique in polynomial
@@ -275,7 +260,7 @@ def tadam_run(
     cycles of :func:`find_cliques`, and only they obey ``cycle_limit``.
     """
     rng = None if policy == "canonical" else random.Random(policy)
-    strict = tie_break(instance, 0)
+    strict = tie_break(instance, tiebreak)
     seat, _ = _deferred_acceptance(strict, strict.int_view.lists)
     graph, cycles = SeatGraph(instance, seat), []
     least = rng is None and instance.has_strict_prefs
@@ -341,11 +326,12 @@ def tadam_enumerate(
     instance: Instance,
     max_visited: int = DEFAULT_MAX_VISITED,
     cycle_limit: int = DEFAULT_CYCLE_LIMIT,
+    tiebreak: int = 0,
 ) -> TadamEnumeration:
-    """All matchings reachable from the deferred-acceptance baseline by
-    trading-clique sequences that admit no further trading clique; past
-    ``max_visited`` the error carries the terminals found so far."""
-    baseline, _ = sosm(tie_break(instance, 0))
+    """Every matching that trading-clique sequences reach from the DA
+    baseline (ties broken with seed ``tiebreak``) and that admits no further
+    trading clique; past ``max_visited`` the error carries those found."""
+    baseline, _ = sosm(tie_break(instance, tiebreak))
     terminals: set[Matching] = set()
     classes: list[frozenset[Matching]] = []
     try:
@@ -420,12 +406,11 @@ def realize_domination(
     return cliques
 
 
-def to_dot(graph: MatchGraph) -> str:
-    """Export in DOT syntax with a ``w`` attribute on each edge."""
-    lines = ["digraph matching {"]
-    for v in graph.vertices:
-        lines.append(f'  "{v}";')
-    for (i, j), w in sorted(graph.weights.items()):
-        lines.append(f'  "{i}" -> "{j}" [w={w}];')
-    lines.append("}")
-    return "\n".join(lines)
+def to_dot(graph: SeatGraph) -> str:
+    """Export the students' graph in DOT syntax, by name, with a ``w``
+    attribute on each edge (i, j): i points to j's group and i != j."""
+    names = graph.instance.students
+    edges = sorted((names[i], names[j], w) for j, g in enumerate(graph.seat)
+                   for i, w in graph.into[g].items() if i != j)
+    return "\n".join(["digraph matching {", *(f'  "{v}";' for v in names),
+                      *(f'  "{i}" -> "{j}" [w={w}];' for i, j, w in edges), "}"])

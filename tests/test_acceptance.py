@@ -169,7 +169,7 @@ def test_criterion_6_index_domination_law(announce):
                     assert preference_index(inst, m) > base_mu
             matchings = list(oracle.enumerate_matchings(inst))
             for b in rng.sample(matchings, min(60, len(matchings))):
-                graph = trading.build_graph(inst, b)
+                graph = networkx_route.student_graph(inst, b)
                 for clique in networkx_route.find_cliques(graph, inst, limit=2000):
                     if clique.kind is not trading.CliqueKind.TRADING:
                         continue

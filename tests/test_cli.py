@@ -200,6 +200,38 @@ def test_graph_dot(capsys):
     assert '"i5" -> "i1"' in out
 
 
+# Strict preferences, one priority class everywhere: the lottery decides DA.
+TIED_PRIORITIES = """students i1 i2 i3
+schools s1 s2 s3
+pref i1: s1 > s2 > s3
+pref i2: s1 > s3 > s2
+pref i3: s2 > s1 > s3
+prio s1: i1 = i2 = i3
+prio s2: i1 = i2 = i3
+prio s3: i1 = i2 = i3
+"""
+
+
+def test_tadam_breaks_ties_with_the_lottery(tmp_path, capsys):
+    """Under every lottery 0-5, tadam's baseline is ``da``'s matching, and its
+    terminals are the efficient dominations of that baseline."""
+    tied = tmp_path / "tied.txt"
+    tied.write_text(TIED_PRIORITIES)
+    for lottery in map(str, range(6)):
+        for path in [str(tied)] + [fix(f"scp{k}") for k in range(1, 6)]:
+            _, da = run_json(capsys, "solve", "--mechanism", "da", "--tiebreak", lottery, path)
+            _, tadam = run_json(capsys, "solve", "--mechanism", "tadam", "--tiebreak", lottery,
+                                path)
+            assert tadam["baseline"] == da["matching"], (lottery, path)
+            _, terminals = run_json(capsys, "enumerate", "--what", "tadam",
+                                    "--tiebreak", lottery, path)
+            _, efficient = run_json(capsys, "enumerate", "--what", "efficient-dominations",
+                                    "--tiebreak", lottery, path)
+            assert terminals == efficient, (lottery, path)
+    _, da = run_json(capsys, "solve", "--mechanism", "da", "--tiebreak", "3", str(tied))
+    assert da["matching"] == {"i1": "s2", "i2": "s1", "i3": "s3"}
+
+
 def test_strategy_anonymity(capsys):
     code, report = run_json(
         capsys, "strategy", "--check", "anonymity", "--trials", "20",
@@ -282,6 +314,7 @@ COALITION_FILES = {
     ["solve", "--mechanism", "cim", "--coalition", "{unknown}", fix("scp2")],
     ["solve", "--mechanism", "cim", "--coalition", "{invalid}", fix("scp2")],
     ["strategy", "--check", "dominance", "--family", "1x1"],
+    ["strategy", "--check", "dominance", "--trials", "5", fix("scp1")],
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     names = {}

@@ -17,9 +17,9 @@ from schoolmatch.analysis import dominates
 from schoolmatch.errors import PreconditionError
 from schoolmatch.mechanisms import eadam, sosm, ttc
 from schoolmatch.model import Instance, WeakOrder, rank, tie_break
-from schoolmatch.trading import Clique, CliqueKind, build_graph
+from schoolmatch.trading import Clique, CliqueKind
 
-from networkx_route import apply_clique, find_cliques, prune
+from networkx_route import apply_clique, find_cliques, prune, student_graph
 
 
 def reference_null_closure(instance, matching):
@@ -27,7 +27,7 @@ def reference_null_closure(instance, matching):
     stack = [matching]
     while stack:
         current = stack.pop()
-        graph = build_graph(instance, current)
+        graph = student_graph(instance, current)
         for clique in find_cliques(graph, instance):
             if clique.kind is not CliqueKind.NULL:
                 continue
@@ -45,7 +45,7 @@ def reference_tadam_enumerate(instance):
     stack = [baseline]
     while stack:
         current = stack.pop()
-        graph = prune(build_graph(instance, current))
+        graph = prune(student_graph(instance, current))
         found = [c for c in find_cliques(graph, instance) if c.kind is CliqueKind.TRADING]
         if not found:
             terminals.add(current)
@@ -74,7 +74,7 @@ def reference_same_class_cliques(instance, partition):
     stack = [baseline]
     while stack:
         current = stack.pop()
-        graph = prune(build_graph(instance, current))
+        graph = prune(student_graph(instance, current))
         found = [c for c in find_cliques(graph, instance) if c.kind is CliqueKind.TRADING]
         if not found:
             for i in instance.students:

@@ -1,5 +1,4 @@
 import collections
-import functools
 import random
 
 import pytest
@@ -17,6 +16,14 @@ def seat_graph(instance, matching):
     return trading.SeatGraph(instance, matching.seats(instance))
 
 
+def edges(graph):
+    """The seat graph's edges between students, by name: (i, j) when i
+    points to j's group and i != j, with that weight."""
+    names = graph.instance.students
+    return {(names[i], names[j]): w for j, g in enumerate(graph.seat)
+            for i, w in graph.into[g].items() if i != j}
+
+
 def cliques_of(instance):
     return trading.find_cliques(seat_graph(instance, sosm(instance)[0]))
 
@@ -30,38 +37,37 @@ def traded(instance, matching, clique):
 
 def test_build_graph_scp2(scp2):
     baseline, _ = sosm(scp2)
-    graph = trading.build_graph(scp2, baseline)
+    weights = edges(trading.build_graph(scp2, baseline))
     expected = {
         ("i1", "i4"), ("i2", "i4"), ("i4", "i2"), ("i2", "i1"),
         ("i3", "i4"), ("i4", "i3"), ("i3", "i1"),
         ("i5", "i1"), ("i5", "i2"), ("i5", "i4"),
     }
-    assert set(graph.weights) == expected
-    assert all(w == 1 for w in graph.weights.values())
+    assert set(weights) == expected
+    assert all(w == 1 for w in weights.values())
 
 
 def test_build_graph_weak_edge(scp6):
     baseline = Matching.of({"i1": "s1", "i2": "s2", "i3": "s3"}, scp6)
-    graph = trading.build_graph(scp6, baseline)
-    assert graph.weights[("i1", "i2")] == 0
-    assert graph.weights[("i2", "i1")] == 1
+    weights = edges(trading.build_graph(scp6, baseline))
+    assert weights[("i1", "i2")] == 0
+    assert weights[("i2", "i1")] == 1
 
 
 def test_build_graph_no_strict_edges_at_top(scp1):
     m = Matching.of({"i1": "s2", "i2": "s1", "i3": "s1"}, scp1)
-    graph = trading.build_graph(scp1, m)
-    assert not any(w == 1 for w in graph.weights.values())
+    assert not any(w == 1 for w in edges(trading.build_graph(scp1, m)).values())
 
 
 def test_prune(scp2, scp3):
     for inst in (scp2, scp3):
         baseline, _ = sosm(inst)
-        pruned = networkx_route.prune(trading.build_graph(inst, baseline))
+        pruned = networkx_route.prune(networkx_route.student_graph(inst, baseline))
         assert set(pruned.vertices) == {"i1", "i2", "i3", "i4"}
 
 
 def test_prune_acyclic_graph_empties():
-    graph = trading.MatchGraph(("a", "b", "c"), {("a", "b"): 1, ("b", "c"): 1})
+    graph = networkx_route.StudentGraph(("a", "b", "c"), {("a", "b"): 1, ("b", "c"): 1})
     assert networkx_route.prune(graph).vertices == ()
 
 
@@ -183,7 +189,7 @@ def reference_tadam(instance, policy):
     current = baseline = sosm(tie_break(instance, 0))[0]
     applied = []
     while True:
-        graph = networkx_route.prune(trading.build_graph(instance, current))
+        graph = networkx_route.prune(networkx_route.student_graph(instance, current))
         found = [c for c in networkx_route.find_cliques(graph, instance)
                  if c.kind is trading.CliqueKind.TRADING]
         if not found:
@@ -339,29 +345,37 @@ def networkx_has_trading_clique(graph):
 
 
 def test_has_trading_clique_matches_networkx_reference():
-    """Random weighted digraphs of 0-9 vertices without self-loops, a
-    third of them with a non-string vertex like ``is_efficient``'s
-    vacancy; then one cycle and one path of 5,000 vertices, too deep for
-    a recursive search."""
+    """On 2,000 seeded weak instances, at the DA baseline and at a random
+    feasible matching, ``has_trading_clique`` on the seat graph, and
+    ``is_efficient`` with its vacancy vertex, agree with networkx
+    components of the student graph, at least 200 times each way.  Then a
+    chain instance: student k holds school k and prefers school k + 1, so
+    the search path runs through 2,500 students and 2,500 groups, too
+    deep for a recursive search; it closes into a ring when the last
+    student holds her school, and stays open when she has none."""
     rng = random.Random(35)
     answers = collections.Counter()
     for _ in range(2000):
-        vertices = [f"v{k}" for k in range(rng.randint(0, 9))]
-        if vertices and rng.random() < 1 / 3:
-            vertices[rng.randrange(len(vertices))] = object()
-        density, strict = rng.random() / 2, rng.random()
-        weights = {(a, b): int(rng.random() < strict)
-                   for a in vertices for b in vertices if a is not b and rng.random() < density}
-        graph = trading.MatchGraph(tuple(vertices), weights)
-        expected = networkx_has_trading_clique(graph)
-        assert trading.has_trading_clique(graph) == expected, graph
-        answers[expected, any(not isinstance(v, str) for v in vertices)] += 1
-    assert len(answers) == 4 and min(answers.values()) > 200, answers
-    ring = [f"v{k}" for k in range(5000)]
-    path = {(a, b): 0 for a, b in zip(ring, ring[1:])}
-    assert not trading.has_trading_clique(trading.MatchGraph(tuple(ring), path))
-    assert trading.has_trading_clique(
-        trading.MatchGraph(tuple(ring), {**path, (ring[-1], ring[0]): 1}))
+        inst = small_weak_instance(rng)
+        for m in (sosm(tie_break(inst, 0))[0], random_feasible_matching(rng, inst)):
+            expected = networkx_has_trading_clique(networkx_route.student_graph(inst, m))
+            assert trading.has_trading_clique(seat_graph(inst, m)) == expected, (inst, m)
+            efficient = student_graph_is_efficient(inst, m)
+            assert is_efficient(inst, m) == efficient, (inst, m)
+            answers["clique", expected] += 1
+            answers["efficient", efficient] += 1
+    assert len(answers) == 4 and min(answers.values()) >= 200, answers
+    n = 2500
+    students = tuple(f"i{k}" for k in range(n))
+    schools = tuple(f"s{k}" for k in range(n))
+    prefs = {i: WeakOrder.strict([schools[(k + 1) % n], schools[k]])
+             for k, i in enumerate(students)}
+    chain = Instance(students, schools, dict.fromkeys(schools, 1), prefs,
+                     dict.fromkeys(schools, WeakOrder.strict(students)))
+    ring = Matching.of(dict(zip(students, schools)), chain)
+    assert trading.has_trading_clique(seat_graph(chain, ring))
+    assert not trading.has_trading_clique(
+        seat_graph(chain, Matching.of(dict(zip(students[:-1], schools)), chain)))
 
 
 def test_truncation_never_adds_cliques():
@@ -392,24 +406,27 @@ def test_to_dot(scp6):
     assert '"i2" -> "i1"' in dot
 
 
-@functools.lru_cache(maxsize=1024)
-def school_ranks(profile, schools):
-    """Name-keyed ranks of each school and of unassigned, from :func:`rank`;
-    kept across the graphs a reference run rebuilds after every clique."""
-    return {s: rank(profile, s) for s in (*schools, None)}
+def reference_dot(graph):
+    """``to_dot`` as written for the name-keyed student graph, kept as a
+    reference."""
+    lines = ["digraph matching {", *(f'  "{v}";' for v in graph.vertices)]
+    lines += [f'  "{i}" -> "{j}" [w={w}];' for (i, j), w in sorted(graph.weights.items())]
+    return "\n".join(lines + ["}"])
 
 
-def student_graph(instance, matching):
-    """``build_graph`` as written before the seat graph, on name-keyed
-    ranks, kept as a reference."""
-    weights = {}
-    for i in instance.students:
-        ranks = school_ranks(instance.prefs[i], instance.schools)
-        own = ranks[matching[i]]
-        for j in instance.students:
-            if i != j and ranks[matching[j]] <= own:
-                weights[(i, j)] = int(ranks[matching[j]] < own)
-    return trading.MatchGraph(instance.students, weights)
+def test_to_dot_matches_student_graph_reference():
+    """On 1,000 seeded weak instances, at the DA baseline and at a random
+    feasible matching, the DOT export of the seat graph equals the one
+    written from the student graph."""
+    rng = random.Random(39)
+    weights = collections.Counter()
+    for _ in range(1000):
+        inst = small_weak_instance(rng)
+        for m in (sosm(tie_break(inst, 0))[0], random_feasible_matching(rng, inst)):
+            graph = networkx_route.student_graph(inst, m)
+            assert trading.to_dot(seat_graph(inst, m)) == reference_dot(graph)
+            weights.update(graph.weights.values())
+    assert min(weights[0], weights[1]) > 2000, weights
 
 
 def student_graph_least_trading_clique(graph, instance):
@@ -451,7 +468,7 @@ def student_graph_tadam(instance):
     current, _ = sosm(tie_break(instance, 0))
     applied = []
     while True:
-        graph = networkx_route.prune(student_graph(instance, current))
+        graph = networkx_route.prune(networkx_route.student_graph(instance, current))
         pick = student_graph_least_trading_clique(graph, instance)
         if pick is None:
             return current, tuple(applied)
@@ -464,7 +481,7 @@ def student_graph_is_efficient(instance, matching):
     a vacancy vertex when a school with a free seat, or being unassigned,
     ranks no worse than her seat (weight 1 if better); the vacancy points
     to every student."""
-    graph = student_graph(instance, matching)
+    graph = networkx_route.student_graph(instance, matching)
     vacancy = object()
     fill = matching.fill_counts()
     free = [s for s in instance.schools if fill.get(s, 0) < instance.capacity[s]] + [None]
@@ -475,7 +492,8 @@ def student_graph_is_efficient(instance, matching):
         if best <= own:
             weights[(i, vacancy)] = int(best < own)
         weights[(vacancy, i)] = 0
-    return not trading.has_trading_clique(trading.MatchGraph((*graph.vertices, vacancy), weights))
+    return not networkx_has_trading_clique(
+        networkx_route.StudentGraph((*graph.vertices, vacancy), weights))
 
 
 def large_varied_instance(rng, n, weak):
@@ -540,8 +558,8 @@ def test_seat_graph_matches_student_graph_references_at_scale():
             cliques += len(result.applied)
             matchings.append(result.matching)
         for m in matchings:
-            assert list(trading.build_graph(inst, m).weights.items()) == \
-                list(student_graph(inst, m).weights.items())
+            assert edges(trading.build_graph(inst, m)) == \
+                networkx_route.student_graph(inst, m).weights
             verdict = is_efficient(inst, m)
             assert verdict == student_graph_is_efficient(inst, m)
             verdicts[weak, verdict] += 1
@@ -584,10 +602,10 @@ def test_find_cliques_matches_networkx_reference():
         seen["truncated"] += any(len(inst.prefs[i].items()) < len(inst.schools)
                                  for i in inst.students)
         for m in (sosm(tie_break(inst, 0))[0], random_feasible_matching(rng, inst)):
-            graph, seats = trading.build_graph(inst, m), seat_graph(inst, m)
+            graph, seats = networkx_route.student_graph(inst, m), seat_graph(inst, m)
             full = trading.find_cliques(seats)
             assert full == networkx_route.find_cliques(networkx_route.prune(graph), inst)
-            strict_graph = trading.MatchGraph(
+            strict_graph = networkx_route.StudentGraph(
                 graph.vertices, {e: w for e, w in graph.weights.items() if w == 1})
             assert trading.find_cliques(seats, strict_edges=True) == \
                 networkx_route.find_cliques(strict_graph, inst)
