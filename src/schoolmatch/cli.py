@@ -11,6 +11,7 @@ import json
 import os
 import random
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -24,10 +25,6 @@ def _load_instance(path: str) -> Instance:
     return textio.parse_instance(Path(path).read_text())
 
 
-def _matching_dict(matching: Matching) -> dict:
-    return {i: (s if s is not UNASSIGNED else None) for i, s in matching.pairs}
-
-
 def _matching_str(matching: Matching) -> str:
     return ", ".join(
         f"{i}:{s if s is not UNASSIGNED else '-'}" for i, s in matching.pairs
@@ -38,7 +35,7 @@ def _matching_report(instance: Instance, matching: Matching) -> dict:
     stable = analysis.is_stable(instance, matching)
     violations = [] if stable else analysis.priority_violations(instance, matching)
     return {
-        "matching": _matching_dict(matching),
+        "matching": matching.as_dict(),
         "preference_index": analysis.preference_index(instance, matching),
         "stable": stable,
         "violations": [
@@ -94,6 +91,14 @@ def _parse_policy(text: str) -> "str | int":
     raise SchoolMatchError(f"--policy must be 'canonical' or 'seed:N', not {text!r}")
 
 
+def _coalition_fields(outcome: coalitions.CoalitionOutcome) -> dict:
+    return {
+        "loops": [" <- ".join(loop) for loop in outcome.coalition.loops],
+        "accomplices": list(outcome.coalition.accomplices),
+        "verified": outcome.verified,
+    }
+
+
 def _load_coalition(path: str, instance: Instance) -> coalitions.Coalition:
     from . import coalitions
     loops = []
@@ -134,7 +139,7 @@ def _cmd_solve(args, out) -> int:
         from . import trading
         result = trading.tadam_run(instance, policy, tiebreak=args.tiebreak)
         matching = result.matching
-        extra["baseline"] = _matching_dict(result.baseline)
+        extra["baseline"] = result.baseline.as_dict()
         extra["cliques"] = [" -> ".join(c.cycle) for c in result.applied]
     elif args.mechanism == "cim":
         from . import coalitions
@@ -150,9 +155,7 @@ def _cmd_solve(args, out) -> int:
                                o.matching.pairs),
             )
             matching = best.matching
-            extra["loops"] = [" <- ".join(loop) for loop in best.coalition.loops]
-            extra["accomplices"] = list(best.coalition.accomplices)
-            extra["verified"] = best.verified
+            extra = _coalition_fields(best)
     else:  # pragma: no cover - argparse restricts choices
         raise SchoolMatchError(f"unknown mechanism {args.mechanism}")
 
@@ -179,7 +182,7 @@ def _cmd_trace(args, out) -> int:
                 }
                 for t, step in enumerate(trace.steps, start=1)
             ],
-            "matching": _matching_dict(matching),
+            "matching": matching.as_dict(),
         }
         _emit(report, args.format, out)
         return 0
@@ -226,11 +229,9 @@ def _cmd_enumerate(args, out) -> int:
             "count": len(outcomes),
             "outcomes": [
                 {
-                    "matching": _matching_dict(o.matching),
+                    "matching": o.matching.as_dict(),
                     "preference_index": analysis.preference_index(instance, o.matching),
-                    "loops": [" <- ".join(loop) for loop in o.coalition.loops],
-                    "accomplices": list(o.coalition.accomplices),
-                    "verified": o.verified,
+                    **_coalition_fields(o),
                 }
                 for o in outcomes
             ],
@@ -244,7 +245,7 @@ def _cmd_enumerate(args, out) -> int:
         "count": len(found),
         "matchings": [
             {
-                "matching": _matching_dict(m),
+                "matching": m.as_dict(),
                 "preference_index": analysis.preference_index(instance, m),
             }
             for m in sorted(found, key=_seat_order)
@@ -299,15 +300,7 @@ def _parse_family(spec: str) -> strategy.RandomProblemFamily:
     parts = spec.split("x")
     if len(parts) not in (2, 3) or not all(p.isdecimal() and int(p) > 0 for p in parts):
         raise SchoolMatchError(f"--family must be positive counts like 2x3 or 2x2x2, not {spec!r}")
-    n_classes, per = int(parts[0]), int(parts[1])
-    cap = int(parts[2]) if len(parts) == 3 else 1
-    schools = [f"s{k}" for k in range(1, n_classes * per + 1)]
-    classes = tuple(tuple(schools[c * per:(c + 1) * per]) for c in range(n_classes))
-    partition = strategy.QualityPartition(classes)
-    students = tuple(f"i{k}" for k in range(1, n_classes * per * cap + 1))
-    truth = strategy.WeakOrder.strict(schools)
-    return strategy.RandomProblemFamily(partition, students, students[0], truth,
-                                        (cap,) * n_classes)
+    return strategy.class_family(*map(int, parts))
 
 
 def _write_counterexample(instance: Instance, seed: int, case: int, tag: str) -> str:
@@ -319,20 +312,21 @@ def _write_counterexample(instance: Instance, seed: int, case: int, tag: str) ->
 
 def _cmd_strategy(args, out) -> int:
     from . import strategy
+    if args.trials < 1:
+        raise SchoolMatchError(f"--trials must be at least 1, not {args.trials}")
+    if args.family is not None and args.check in ("anonymity", "positive-association"):
+        raise SchoolMatchError(f"--check {args.check} draws no family; it takes no --family")
+    family = _parse_family(args.family or ("2x2" if args.check == "dominance" else "2x3"))
     rng = random.Random(args.seed)
-    mechs = {name: strategy.mechanism_by_name(name) for name in ("da", "tadam")}
 
     if args.check == "dominance":
         if args.file:
             raise SchoolMatchError("--check dominance draws its instances; it takes no FILE")
-        family = _parse_family(args.family or "2x2")
-        truth = family.truth
-        schools = truth.strict_sequence()
-        if len(schools) < 2:
+        if len(family.schools) < 2:
             raise SchoolMatchError("--family needs two schools to swap for the dominance check")
-        alt = strategy.swap_in_profile(truth, schools[0], schools[1])
+        alt = strategy.swap_in_profile(family.truth, *family.schools[:2])
         report_obj = strategy.dominance_trial(
-            mechs["tadam"], family, truth, alt, args.trials, args.seed
+            strategy.mechanism_by_name("tadam"), family, family.truth, alt, args.trials, args.seed
         )
         report = {
             "check": "dominance",
@@ -347,53 +341,29 @@ def _cmd_strategy(args, out) -> int:
         _emit(report, args.format, out)
         return 0 if report_obj.verdict is not strategy.Verdict.FAILS else 1
 
+    # Each mechanism's sweep checks the FILE once, or the next --trials draws of one stream.
+    if args.file:
+        instances = [_load_instance(args.file)]
+    elif args.check == "same-class":
+        instances = iter(lambda: family.draw_instance(
+            strategy.class_respecting_profile(rng, family.partition), rng), None)
+    else:
+        instances = iter(lambda: strategy.random_strict_instance(rng, 5, 5), None)
+    if args.check == "same-class":
+        sweeps = [((i, strategy.same_class_cliques(i, family.partition)) for i in instances)]
+    else:
+        cases_of = (strategy.anonymity_cases if args.check == "anonymity"
+                    else strategy.positive_association_cases)
+        sweeps = [cases_of(strategy.mechanism_by_name(name), instances, rng)
+                  for name in ("da", "tadam")]
+
     failures = []
     cases = 0
-    for case in range(args.trials):
-        if args.file:
-            instance = _load_instance(args.file)
-        elif args.check == "same-class":
-            family = _parse_family(args.family or "2x3")
-            instance = family.draw_instance(
-                strategy.class_respecting_profile(rng, family.partition), rng
-            )
-        else:
-            instance = strategy.random_strict_instance(rng, 5, 5)
-
-        if args.check == "anonymity":
-            a, b = rng.sample(instance.schools, 2)
-            ok = all(
-                strategy.check_anonymity(m, instance, (a, b)) for m in mechs.values()
-            )
-        elif args.check == "positive-association":
-            ok = True
-            for mech in mechs.values():
-                outcome = mech(instance)
-                candidates = [
-                    i for i in instance.students
-                    if outcome[i] is not UNASSIGNED
-                    and strategy.rank(instance.prefs[i], outcome[i]) > 1
-                ]
-                if not candidates:
-                    continue
-                student = rng.choice(candidates)
-                school = outcome[student]
-                seq = instance.prefs[student].strict_sequence()
-                better = rng.choice(seq[: seq.index(school)])
-                ok = ok and strategy.check_positive_association(
-                    mech, instance, student, school, better
-                )
-        elif args.check == "same-class":
-            family = _parse_family(args.family or "2x3")
-            ok = strategy.same_class_cliques(instance, family.partition)
-        else:  # pragma: no cover
-            raise SchoolMatchError(f"unknown check {args.check}")
-
-        cases += 1
-        if not ok:
-            failures.append(_write_counterexample(instance, args.seed, case, args.check))
-        if args.file:
-            break
+    for sweep in sweeps:
+        for instance, ok in islice(sweep, args.trials):
+            if not ok:
+                failures.append(_write_counterexample(instance, args.seed, cases, args.check))
+            cases += 1
 
     report = {"check": args.check, "cases": cases, "failures": len(failures),
               "counterexample_files": failures}

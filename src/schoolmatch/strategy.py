@@ -1,7 +1,7 @@
 """Strategic-behavior lab: random problem families with perceived-quality
-classes, anonymity and positive-association checks, same-class clique
-verification, and Monte Carlo stochastic-dominance trials for
-truth-telling."""
+classes, anonymity and positive-association checks and the sweeps that
+criterion 7 and CLI ``strategy`` run, same-class clique verification, and
+Monte Carlo stochastic-dominance trials for truth-telling."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import trading
 from .errors import PreconditionError
@@ -20,23 +20,16 @@ from .model import Instance, Matching, UNASSIGNED, WeakOrder, rank
 Mechanism = Callable[[Instance], Matching]
 
 
-def mechanism_by_name(
-    name: str,
-    consenters: Optional[Iterable[str]] = None,
-    policy: "str | int" = "canonical",
-) -> Mechanism:
-    """Uniform callable wrappers used by sweeps and the CLI."""
+def mechanism_by_name(name: str) -> Mechanism:
+    """Sweep and CLI wrappers: EADAM with everyone consenting, canonical TADAM."""
     if name == "da":
         return lambda inst: sosm(inst)[0]
     if name == "ttc":
         return ttc
     if name == "eadam":
-        consent = None if consenters is None else tuple(consenters)
-        return lambda inst: eadam(
-            inst, inst.students if consent is None else consent
-        ).matching
+        return lambda inst: eadam(inst, inst.students).matching
     if name == "tadam":
-        return lambda inst: trading.tadam_run(inst, policy).matching
+        return lambda inst: trading.tadam_run(inst).matching
     raise ValueError(f"unknown mechanism {name!r}")
 
 
@@ -145,20 +138,19 @@ class RandomProblemFamily:
         return Instance(self.students, self.schools, self.capacity(), prefs, prios)
 
 
-def two_class_family(
-    n_per_class: int = 2,
-    n_students: Optional[int] = None,
-    capacity: int = 1,
-) -> RandomProblemFamily:
-    """Convenience builder: two quality classes of ``n_per_class`` schools."""
-    top = tuple(f"s{k}" for k in range(1, n_per_class + 1))
-    low = tuple(f"s{k}" for k in range(n_per_class + 1, 2 * n_per_class + 1))
-    partition = QualityPartition((top, low))
-    if n_students is None:
-        n_students = 2 * n_per_class * capacity
-    students = tuple(f"i{k}" for k in range(1, n_students + 1))
-    truth = WeakOrder.strict(top + low)
-    return RandomProblemFamily(partition, students, students[0], truth, (capacity, capacity))
+def class_family(n_classes: int, per: int, capacity: int = 1) -> RandomProblemFamily:
+    """``n_classes`` quality classes of ``per`` schools, ``capacity`` seats each
+    and one student per seat; the fixed student i1 truly ranks s1 > s2 > ..."""
+    schools = tuple(f"s{k}" for k in range(1, n_classes * per + 1))
+    partition = QualityPartition(tuple(schools[c * per:(c + 1) * per] for c in range(n_classes)))
+    students = tuple(f"i{k}" for k in range(1, len(schools) * capacity + 1))
+    return RandomProblemFamily(partition, students, students[0], WeakOrder.strict(schools),
+                               (capacity,) * n_classes)
+
+
+def two_class_family(n_per_class: int = 2, capacity: int = 1) -> RandomProblemFamily:
+    """Two quality classes of ``n_per_class`` schools."""
+    return class_family(2, n_per_class, capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +181,8 @@ def check_anonymity(mechanism: Mechanism, instance: Instance, swap: tuple[str, s
     a, b = swap
     original = mechanism(instance)
     swapped = mechanism(swap_schools(instance, a, b))
-
-    def relabel(s):
-        return b if s == a else a if s == b else s
-
-    return all(swapped[i] == relabel(original[i]) for i in instance.students)
+    relabel = {a: b, b: a}
+    return all(swapped[i] == relabel.get(original[i], original[i]) for i in instance.students)
 
 
 def check_positive_association(
@@ -212,6 +201,35 @@ def check_positive_association(
         {student: swap_in_profile(profile, school, better)}
     )
     return mechanism(reported)[student] == school
+
+
+def anonymity_cases(
+    mechanism: Mechanism, instances: Iterable[Instance], rng: random.Random
+) -> Iterator[tuple[Instance, bool]]:
+    """Each instance with the verdict of :func:`check_anonymity` on two of its
+    schools drawn from ``rng``."""
+    for instance in instances:
+        yield instance, check_anonymity(mechanism, instance, tuple(rng.sample(instance.schools, 2)))
+
+
+def positive_association_cases(
+    mechanism: Mechanism, instances: Iterable[Instance], rng: random.Random
+) -> Iterator[tuple[Instance, bool]]:
+    """Each instance with the verdict of :func:`check_positive_association` for a
+    student below their top school, drawn from ``rng``; one with none is skipped."""
+    for instance in instances:
+        outcome = mechanism(instance)
+        candidates = [
+            i for i in instance.students
+            if outcome[i] is not UNASSIGNED and rank(instance.prefs[i], outcome[i]) > 1
+        ]
+        if not candidates:
+            continue
+        student = rng.choice(candidates)
+        school = outcome[student]
+        seq = instance.prefs[student].strict_sequence()
+        better = rng.choice(seq[: seq.index(school)])
+        yield instance, check_positive_association(mechanism, instance, student, school, better)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +342,10 @@ def dominance_trial(
 # ---------------------------------------------------------------------------
 # Manipulation witnesses
 
-def manipulation_gain(
-    instance: Instance, student: str, report: WeakOrder,
-    policy: "str | int" = "canonical",
-) -> int:
-    """Rank improvement (in the student's true profile) from misreporting;
-    positive means the misreport strictly helps."""
-    mech = mechanism_by_name("tadam", policy=policy)
+def manipulation_gain(instance: Instance, student: str, report: WeakOrder) -> int:
+    """Rank improvement (in the student's true profile) under canonical TADAM
+    from misreporting; positive means the misreport strictly helps."""
+    mech = mechanism_by_name("tadam")
     honest = mech(instance)[student]
     manipulated = mech(instance.replace_prefs({student: report}))[student]
     profile = instance.prefs[student]

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per shipped guarantee, one printed line each."""
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,7 @@ from schoolmatch import (
 )
 from schoolmatch import coalitions, oracle, strategy, textio, trading
 from schoolmatch.mechanisms import eadam, hopeless_students
-from schoolmatch.model import WeakOrder, rank
+from schoolmatch.model import WeakOrder
 from schoolmatch.strategy import Verdict, random_strict_instance
 
 import networkx_route
@@ -188,44 +188,22 @@ def test_criterion_7_property_sweeps(announce):
         rng = random.Random(1007)
         da = strategy.mechanism_by_name("da")
         tadam = strategy.mechanism_by_name("tadam")
+        draws = iter(lambda: random_strict_instance(rng, 5, 5), None)
 
         for mech in (da, tadam):
-            for _ in range(500):
-                inst = random_strict_instance(rng, 5, 5)
-                a, b = rng.sample(inst.schools, 2)
-                assert strategy.check_anonymity(mech, inst, (a, b))
+            for _, ok in islice(strategy.anonymity_cases(mech, draws, rng), 500):
+                assert ok
 
         for mech in (da, tadam):
-            done = 0
-            while done < 500:
-                inst = random_strict_instance(rng, 5, 5)
-                outcome = mech(inst)
-                candidates = [
-                    i for i in inst.students
-                    if outcome[i] is not None
-                    and rank(inst.prefs[i], outcome[i]) > 1
-                ]
-                if not candidates:
-                    continue
-                student = rng.choice(candidates)
-                school = outcome[student]
-                seq = inst.prefs[student].strict_sequence()
-                better = rng.choice(seq[: seq.index(school)])
-                assert strategy.check_positive_association(
-                    mech, inst, student, school, better
-                )
-                done += 1
+            for _, ok in islice(strategy.positive_association_cases(mech, draws, rng), 500):
+                assert ok
 
-        part = strategy.QualityPartition((("s1", "s2"), ("s3", "s4")))
-        students = ("i1", "i2", "i3", "i4")
-        family = strategy.RandomProblemFamily(
-            part, students, "i1", WeakOrder.strict(part.schools), (1, 1)
-        )
+        family = strategy.two_class_family(2)
         for _ in range(200):
             inst = family.draw_instance(
-                strategy.class_respecting_profile(rng, part), rng
+                strategy.class_respecting_profile(rng, family.partition), rng
             )
-            assert strategy.same_class_cliques(inst, part)
+            assert strategy.same_class_cliques(inst, family.partition)
 
     announce(7, "anonymity, positive association, same-class cliques", check)
 

@@ -238,7 +238,32 @@ def test_strategy_anonymity(capsys):
         "--seed", "5",
     )
     assert code == 0
-    assert report["failures"] == 0
+    assert report["cases"] == 40 and report["failures"] == 0
+
+
+# Every student holds their top school under DA and TADAM alike.
+ALL_AT_TOP = """students i1 i2
+schools s1 s2
+pref i1: s1 > s2
+pref i2: s2 > s1
+prio s1: i1 > i2
+prio s2: i1 > i2
+"""
+
+
+@pytest.mark.parametrize("argv, cases", [
+    (["--check", "positive-association", "--trials", "20", "--seed", "5"], 40),
+    (["--check", "anonymity", fix("scp1")], 2),
+    (["--check", "positive-association", "{top}"], 0),
+])
+def test_strategy_cases_count_checks_per_mechanism(tmp_path, capsys, argv, cases):
+    """``cases`` counts checks: --trials instances (or the FILE once) for each
+    of DA and TADAM, less any with nobody seated below their top school."""
+    top = tmp_path / "top.txt"
+    top.write_text(ALL_AT_TOP)
+    code, report = run_json(capsys, "strategy", *(a.format(top=top) for a in argv))
+    assert code == 0
+    assert report["cases"] == cases and report["failures"] == 0
 
 
 def test_strategy_dominance(capsys):
@@ -315,6 +340,11 @@ COALITION_FILES = {
     ["solve", "--mechanism", "cim", "--coalition", "{invalid}", fix("scp2")],
     ["strategy", "--check", "dominance", "--family", "1x1"],
     ["strategy", "--check", "dominance", "--trials", "5", fix("scp1")],
+    ["strategy", "--check", "anonymity", "--trials", "0"],
+    ["strategy", "--check", "positive-association", "--trials", "-3"],
+    ["strategy", "--check", "same-class", "--trials", "0", "--family", "2x2"],
+    ["strategy", "--check", "anonymity", "--family", "2x2"],
+    ["strategy", "--check", "positive-association", "--family", "2x2", fix("scp1")],
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     names = {}

@@ -1,22 +1,27 @@
 """Differential test for the single walk over trading states, the single
-seat-permutation split and the single displaced-set rule.
+seat-permutation split, the single displaced-set rule and the single copy
+of the strategy sweeps.
 
 The loops they replaced are kept here as references: the depth-first
 searches of ``tadam_enumerate``, ``null_closure`` and
 ``same_class_cliques`` on the name-keyed cycle route of
 ``networkx_route``, the seat decompositions of ``realize_domination``
-and ``eadam_as_coalition``, and the displaced-school loop of
-``accomplice_set``.  Answers are compared as values, never as reprs
-(``frozenset`` order follows the hash seed).
+and ``eadam_as_coalition``, the displaced-school loop of
+``accomplice_set``, acceptance criterion 7's inline sweep loops, the CLI
+``strategy`` command's per-instance loop and its family builder.
+Answers are compared as values, never as reprs (``frozenset`` order
+follows the hash seed).
 """
 
 import random
+from itertools import islice, product
 
-from schoolmatch import coalitions, strategy, trading
+from schoolmatch import coalitions, strategy, textio, trading
 from schoolmatch.analysis import dominates
 from schoolmatch.errors import PreconditionError
 from schoolmatch.mechanisms import eadam, sosm, ttc
-from schoolmatch.model import Instance, WeakOrder, rank, tie_break
+from schoolmatch.model import UNASSIGNED, Instance, WeakOrder, rank, tie_break
+from schoolmatch.strategy import random_strict_instance
 from schoolmatch.trading import Clique, CliqueKind
 
 from networkx_route import apply_clique, find_cliques, prune, student_graph
@@ -260,3 +265,143 @@ def test_merged_walks_match_parent_references():
     assert seen["null_class"] > 100 and 300 < seen["short"] < 800
     assert seen["not_dominating"] > 100 and seen["no_giver"] > 0
     assert seen["false"] > 100 and seen["true"] > 500 and seen["loops"] > 150
+
+
+def contrary(instance):
+    """DA on every list reversed, with a second seat at s1: neither anonymous
+    nor positively associated, so the sweeps meet both verdicts."""
+    reversed_lists = instance.replace_prefs({
+        i: WeakOrder.strict(reversed(p.strict_sequence())) for i, p in instance.prefs.items()
+    })
+    capacity = {**instance.capacity, "s1": 2}
+    return sosm(Instance(instance.students, instance.schools, capacity,
+                         reversed_lists.prefs, instance.prios))[0]
+
+
+def reference_association_case(mech, inst, rng):
+    """The positive-association body that criterion 7 and the CLI each
+    carried: the verdict, or None when nobody sits below their top school."""
+    outcome = mech(inst)
+    candidates = [
+        i for i in inst.students
+        if outcome[i] is not UNASSIGNED and rank(inst.prefs[i], outcome[i]) > 1
+    ]
+    if not candidates:
+        return None
+    student = rng.choice(candidates)
+    school = outcome[student]
+    seq = inst.prefs[student].strict_sequence()
+    better = rng.choice(seq[: seq.index(school)])
+    return strategy.check_positive_association(mech, inst, student, school, better)
+
+
+def reference_criterion_7(seed, mechs, n_anonymity, n_association, n_same_class):
+    """Criterion 7's three inline loops, recording each check it asserted."""
+    rng = random.Random(seed)
+    checks = []
+    for mech in mechs:
+        for _ in range(n_anonymity):
+            inst = random_strict_instance(rng, 5, 5)
+            a, b = rng.sample(inst.schools, 2)
+            checks.append((inst, strategy.check_anonymity(mech, inst, (a, b))))
+    for mech in mechs:
+        done = 0
+        while done < n_association:
+            inst = random_strict_instance(rng, 5, 5)
+            ok = reference_association_case(mech, inst, rng)
+            if ok is None:
+                continue
+            checks.append((inst, ok))
+            done += 1
+    part = strategy.QualityPartition((("s1", "s2"), ("s3", "s4")))
+    students = ("i1", "i2", "i3", "i4")
+    family = strategy.RandomProblemFamily(
+        part, students, "i1", WeakOrder.strict(part.schools), (1, 1)
+    )
+    for _ in range(n_same_class):
+        inst = family.draw_instance(strategy.class_respecting_profile(rng, part), rng)
+        checks.append((inst, strategy.same_class_cliques(inst, part)))
+    return checks, rng.getstate()
+
+
+def criterion_7(seed, mechs, n_anonymity, n_association, n_same_class):
+    """Criterion 7 as it runs on the sweep generators."""
+    rng = random.Random(seed)
+    draws = iter(lambda: random_strict_instance(rng, 5, 5), None)
+    checks = []
+    for mech in mechs:
+        checks += islice(strategy.anonymity_cases(mech, draws, rng), n_anonymity)
+    for mech in mechs:
+        checks += islice(strategy.positive_association_cases(mech, draws, rng), n_association)
+    family = strategy.two_class_family(2)
+    for _ in range(n_same_class):
+        inst = family.draw_instance(strategy.class_respecting_profile(rng, family.partition), rng)
+        checks.append((inst, strategy.same_class_cliques(inst, family.partition)))
+    return checks, rng.getstate()
+
+
+def reference_cli_sweep(check, mech, trials, seed):
+    """The CLI ``strategy`` command's per-instance loop without a FILE, for
+    one mechanism, recording each check it made."""
+    rng = random.Random(seed)
+    checks = []
+    for _ in range(trials):
+        inst = random_strict_instance(rng, 5, 5)
+        if check == "anonymity":
+            a, b = rng.sample(inst.schools, 2)
+            checks.append((inst, strategy.check_anonymity(mech, inst, (a, b))))
+        else:
+            ok = reference_association_case(mech, inst, rng)
+            if ok is not None:
+                checks.append((inst, ok))
+    return checks, rng.getstate()
+
+
+def reference_parse_family(spec):
+    """The CLI's own family builder for a valid SPEC."""
+    parts = spec.split("x")
+    n_classes, per = int(parts[0]), int(parts[1])
+    cap = int(parts[2]) if len(parts) == 3 else 1
+    schools = [f"s{k}" for k in range(1, n_classes * per + 1)]
+    classes = tuple(tuple(schools[c * per:(c + 1) * per]) for c in range(n_classes))
+    partition = strategy.QualityPartition(classes)
+    students = tuple(f"i{k}" for k in range(1, n_classes * per * cap + 1))
+    truth = WeakOrder.strict(schools)
+    return strategy.RandomProblemFamily(partition, students, students[0], truth,
+                                        (cap,) * n_classes)
+
+
+def as_text(checks, state):
+    """Checks as (instance text, verdict) pairs, with the generator state."""
+    return [(textio.serialize_instance(inst), ok) for inst, ok in checks], state
+
+
+def test_sweep_generators_match_inline_loops():
+    da, tadam = strategy.mechanism_by_name("da"), strategy.mechanism_by_name("tadam")
+    full = (1007, (da, tadam), 500, 500, 200)
+    got, want = as_text(*criterion_7(*full)), as_text(*reference_criterion_7(*full))
+    assert len(got[0]) == 2200 and got == want
+
+    verdicts = {True: 0, False: 0}
+    for seed in range(1, 21):
+        args = (seed, (da, tadam, contrary), 20, 20, 10)
+        checks, state = criterion_7(*args)
+        assert as_text(checks, state) == as_text(*reference_criterion_7(*args)), seed
+        for _, ok in checks:
+            verdicts[ok] += 1
+        for check, cases_of in (("anonymity", strategy.anonymity_cases),
+                                ("positive-association", strategy.positive_association_cases)):
+            for mech in (da, tadam, contrary):
+                rng = random.Random(seed)
+                draws = (random_strict_instance(rng, 5, 5) for _ in range(20))
+                checks = list(cases_of(mech, draws, rng))
+                assert as_text(checks, rng.getstate()) == as_text(
+                    *reference_cli_sweep(check, mech, 20, seed)), (seed, check)
+                for _, ok in checks:
+                    verdicts[ok] += 1
+    assert verdicts[False] > 500 and verdicts[True] > 2000
+
+    assert strategy.two_class_family(2) == reference_parse_family("2x2")
+    for spec in product("123", "123", ("", "x1", "x2", "x3")):
+        spec = "x".join(spec[:2]) + spec[2]
+        assert strategy.class_family(*map(int, spec.split("x"))) == reference_parse_family(spec)
