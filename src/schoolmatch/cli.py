@@ -316,7 +316,8 @@ def _cmd_strategy(args, out) -> int:
         raise SchoolMatchError(f"--trials must be at least 1, not {args.trials}")
     if args.family is not None and args.check in ("anonymity", "positive-association"):
         raise SchoolMatchError(f"--check {args.check} draws no family; it takes no --family")
-    family = _parse_family(args.family or ("2x2" if args.check == "dominance" else "2x3"))
+    spec = ("2x2" if args.check == "dominance" else "2x3") if args.family is None else args.family
+    family = _parse_family(spec)
     rng = random.Random(args.seed)
 
     if args.check == "dominance":
@@ -344,6 +345,9 @@ def _cmd_strategy(args, out) -> int:
     # Each mechanism's sweep checks the FILE once, or the next --trials draws of one stream.
     if args.file:
         instances = [_load_instance(args.file)]
+        if args.check == "same-class" and set(family.schools) != set(instances[0].schools):
+            raise SchoolMatchError(f"--family {spec} partitions schools {' '.join(family.schools)}, "
+                                   f"not the FILE's {' '.join(instances[0].schools)}")
     elif args.check == "same-class":
         instances = iter(lambda: family.draw_instance(
             strategy.class_respecting_profile(rng, family.partition), rng), None)

@@ -1,6 +1,7 @@
-"""Student-proposing deferred acceptance (with a full step trace), the
-efficiency-adjusted rerun loop driven by interrupter removal, top trading
-cycles, and trace-derived interrupter / hopeless-student extraction.
+"""Student-proposing deferred acceptance, the efficiency-adjusted rerun
+loop driven by interrupter removal, top trading cycles, and trace-derived
+interrupter / hopeless-student extraction.  :func:`sosm` and each
+:func:`eadam` round record DA's step trace; the TADAM baseline records none.
 
 All three mechanisms require strict preference profiles and priority
 structures; break ties first (:func:`schoolmatch.model.tie_break`).
@@ -62,10 +63,12 @@ def _require_strict(instance: Instance) -> None:
 
 
 def _deferred_acceptance(
-    instance: Instance, lists: Sequence[Sequence[int]]
-) -> tuple[list[int], DaTrace]:
+    instance: Instance, lists: Sequence[Sequence[int]], traced: bool = True
+) -> tuple[list[int], Optional[DaTrace]]:
     """DA on school-index ``lists`` with the instance's priorities and
-    seats: the seat vector (-1 for unassigned) and the trace."""
+    seats: the seat vector (-1 for unassigned) and the trace that
+    :func:`sosm` and :func:`eadam` read.  The TADAM baseline runs it
+    untraced, for None: strict priorities give the same seats."""
     prio, seats = instance.int_view.prio_rows, instance.int_view.seats
     pointer = [0] * len(lists)   # next list index to propose to
     held: list[list[int]] = [[] for _ in seats]
@@ -75,25 +78,28 @@ def _deferred_acceptance(
         proposals: dict[int, list[int]] = {}
         for k in proposers:
             proposals.setdefault(lists[k][pointer[k]], []).append(k)
-        holds, rejections, rejected_now = {}, {}, []
+        holds, rejections, rejected = {}, {}, []
         for j, newcomers in proposals.items():
             pool = held[j] + newcomers
-            pool.sort(key=prio[j].__getitem__)
-            if len(pool) > seats[j]:
-                rejections[j] = sorted(pool[seats[j]:])
-                rejected_now += rejections[j]
-                del pool[seats[j]:]
+            if traced or len(pool) > seats[j]:   # a trace lists holds by priority
+                pool.sort(key=prio[j].__getitem__)
+                if len(pool) > seats[j]:
+                    rejections[j] = sorted(pool[seats[j]:])
+                    rejected += rejections[j]
+                    del pool[seats[j]:]
             held[j] = holds[j] = pool
-        waves.append((proposers, proposals, holds, rejections))
-        for k in rejected_now:
+        if traced:
+            waves.append((proposers, proposals, holds, rejections))
+            rejected.sort()   # the next wave's proposers in index order
+        for k in rejected:
             pointer[k] += 1
-        proposers = sorted(k for k in rejected_now if pointer[k] < len(lists[k]))
+        proposers = [k for k in rejected if pointer[k] < len(lists[k])]
 
     seat = [-1] * len(lists)
     for j, ks in enumerate(held):
         for k in ks:
             seat[k] = j
-    return seat, DaTrace(instance.students, instance.schools, tuple(waves))
+    return seat, DaTrace(instance.students, instance.schools, tuple(waves)) if traced else None
 
 
 def sosm(instance: Instance) -> tuple[Matching, DaTrace]:
@@ -104,7 +110,7 @@ def sosm(instance: Instance) -> tuple[Matching, DaTrace]:
     (by priority) among current holds plus new proposers.  Stops when no
     unengaged student has a school left to propose to.  Only students
     rejected at a step propose at the next, so no step rescans everyone.
-    Runs on the instance's :class:`IntView`; the trace keeps indices.
+    Runs on the instance's :class:`IntView` and always records the trace.
     """
     _require_strict(instance)
     seat, trace = _deferred_acceptance(instance, instance.int_view.lists)

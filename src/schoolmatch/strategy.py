@@ -15,7 +15,8 @@ from typing import Callable, Iterable, Iterator, Optional
 from . import trading
 from .errors import PreconditionError
 from .mechanisms import eadam, sosm, ttc
-from .model import Instance, Matching, UNASSIGNED, WeakOrder, rank
+from .model import (Instance, IntView, Matching, UNASSIGNED, WeakOrder, _index_list, _rank_row,
+                    _shuffle, rank)
 
 Mechanism = Callable[[Instance], Matching]
 
@@ -92,7 +93,7 @@ def class_respecting_profile(rng: random.Random, partition: QualityPartition) ->
     order: list[str] = []
     for cl in partition.classes:
         block = list(cl)
-        rng.shuffle(block)
+        _shuffle(rng, block)
         order.extend(block)
     return WeakOrder.strict(order)
 
@@ -126,16 +127,29 @@ class RandomProblemFamily:
                 for s in cl}
 
     def draw_instance(self, report: WeakOrder, rng: random.Random) -> Instance:
+        """One problem: ``report`` for the fixed student, a
+        :func:`class_respecting_profile` for each other student, then each
+        school's priority order, shuffled as an index list.  The instance
+        comes with its integer views built."""
+        students, schools = self.students, self.schools
+        i_index, s_index = {i: k for k, i in enumerate(students)}, {s: j for j, s in enumerate(schools)}
         prefs = {self.fixed_student: report}
-        for i in self.students:
+        for i in students:
             if i != self.fixed_student:
                 prefs[i] = class_respecting_profile(rng, self.partition)
-        prios = {}
-        for s in self.schools:
-            order = list(self.students)
-            rng.shuffle(order)
-            prios[s] = WeakOrder.strict(order)
-        return Instance(self.students, self.schools, self.capacity(), prefs, prios)
+        lists = [_index_list(prefs[i], s_index) for i in students]
+        prios, prio_rows = {}, []
+        for s in schools:
+            order = list(range(len(students)))
+            _shuffle(rng, order)
+            prios[s] = WeakOrder.strict(map(students.__getitem__, order))
+            prio_rows.append(_rank_row(prios[s], i_index, order))
+        capacity = self.capacity()
+        return Instance._with_views(
+            students, schools, capacity, prefs, prios, student_index=i_index,
+            school_index=s_index, has_strict_prefs=report.is_strict, is_strict=report.is_strict,
+            int_view=IntView(lists, prio_rows, [capacity[s] for s in schools]),
+            pref_rows=[_rank_row(prefs[i], s_index, ks) for i, ks in zip(students, lists)])
 
 
 def class_family(n_classes: int, per: int, capacity: int = 1) -> RandomProblemFamily:
@@ -305,13 +319,14 @@ def dominance_trial(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, not {trials}")
-    rng = random.Random(seed)
+    rng, draw = random.Random(seed), random.Random()
     student = family.fixed_student
     truth_counts: Counter[Optional[str]] = Counter()
     alt_counts: Counter[Optional[str]] = Counter()
     for _ in range(trials):
         # The draw does not depend on the report: both reports face one complement.
-        instance = family.draw_instance(truth, random.Random(rng.getrandbits(64)))
+        draw.seed(rng.getrandbits(64))   # the state of random.Random(those bits)
+        instance = family.draw_instance(truth, draw)
         truth_counts[mechanism(instance)[student]] += 1
         alt_counts[mechanism(instance.replace_prefs({student: alt}))[student]] += 1
 

@@ -166,6 +166,8 @@ def least_trading_clique(graph: SeatGraph) -> Optional[tuple[int, ...]]:
                 return tuple(path)
             stack = [w for w, wt in into[seat[v]].items() if w > v and w not in seen
                      and (strict or wt)]
+            if not stack:  # no later weight-1 edge into v's group: no trading cycle from v
+                break
             succ = [u for u in range(v + 1, len(seat)) if u not in seen and x in into[seat[u]]]
             seen.update(stack)   # the path, then every student reached
             expanded = set()
@@ -261,7 +263,7 @@ def tadam_run(
     """
     rng = None if policy == "canonical" else random.Random(policy)
     strict = tie_break(instance, tiebreak)
-    seat, _ = _deferred_acceptance(strict, strict.int_view.lists)
+    seat, _ = _deferred_acceptance(strict, strict.int_view.lists, traced=False)
     graph, cycles = SeatGraph(instance, seat), []
     least = rng is None and instance.has_strict_prefs
     while True:
@@ -383,14 +385,14 @@ def seat_cycles(baseline: Matching, target: Matching) -> list[list[str]]:
 
 
 def realize_domination(
-    instance: Instance, target: Matching
+    instance: Instance, target: Matching, tiebreak: int = 0
 ) -> Optional[list[Clique]]:
-    """Clique sequence turning the deferred-acceptance baseline into
-    ``target``, trading cliques first; None if ``target`` does not
-    dominate-or-equal the baseline."""
+    """Clique sequence turning the deferred-acceptance baseline (ties
+    broken with seed ``tiebreak``) into ``target``, trading cliques first;
+    None if ``target`` does not dominate-or-equal the baseline."""
     from .analysis import dominates
 
-    baseline, _ = sosm(tie_break(instance, 0))
+    baseline, _ = sosm(tie_break(instance, tiebreak))
     if target == baseline:
         return []
     if not dominates(instance, target, baseline):

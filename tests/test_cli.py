@@ -345,6 +345,8 @@ COALITION_FILES = {
     ["strategy", "--check", "same-class", "--trials", "0", "--family", "2x2"],
     ["strategy", "--check", "anonymity", "--family", "2x2"],
     ["strategy", "--check", "positive-association", "--family", "2x2", fix("scp1")],
+    ["strategy", "--check", "dominance", "--family", "", "--trials", "10"],
+    ["strategy", "--check", "same-class", fix("scp1")],   # 2x3 names s1-s6, the FILE s1-s3
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     names = {}

@@ -1,6 +1,7 @@
 """Differential test for the single walk over trading states, the single
-seat-permutation split, the single displaced-set rule and the single copy
-of the strategy sweeps.
+seat-permutation split, the single displaced-set rule, the single copy
+of the strategy sweeps, the one deferred-acceptance loop with and
+without its trace, and the index-level family draw.
 
 The loops they replaced are kept here as references: the depth-first
 searches of ``tadam_enumerate``, ``null_closure`` and
@@ -8,9 +9,11 @@ searches of ``tadam_enumerate``, ``null_closure`` and
 ``networkx_route``, the seat decompositions of ``realize_domination``
 and ``eadam_as_coalition``, the displaced-school loop of
 ``accomplice_set``, acceptance criterion 7's inline sweep loops, the CLI
-``strategy`` command's per-instance loop and its family builder.
-Answers are compared as values, never as reprs (``frozenset`` order
-follows the hash seed).
+``strategy`` command's per-instance loop and its family builder, the
+always-traced deferred-acceptance loop and the name-level
+``draw_instance``.  Answers are compared as values, never as reprs
+(``frozenset`` order follows the hash seed), but for DA waves, whose
+dict order the CLI ``trace`` output follows.
 """
 
 import random
@@ -19,12 +22,13 @@ from itertools import islice, product
 from schoolmatch import coalitions, strategy, textio, trading
 from schoolmatch.analysis import dominates
 from schoolmatch.errors import PreconditionError
-from schoolmatch.mechanisms import eadam, sosm, ttc
+from schoolmatch.mechanisms import DaTrace, _deferred_acceptance, eadam, sosm, ttc
 from schoolmatch.model import UNASSIGNED, Instance, WeakOrder, rank, tie_break
 from schoolmatch.strategy import random_strict_instance
 from schoolmatch.trading import Clique, CliqueKind
 
 from networkx_route import apply_clique, find_cliques, prune, student_graph
+from test_mechanisms import coarse_instance
 
 
 def reference_null_closure(instance, matching):
@@ -405,3 +409,103 @@ def test_sweep_generators_match_inline_loops():
     for spec in product("123", "123", ("", "x1", "x2", "x3")):
         spec = "x".join(spec[:2]) + spec[2]
         assert strategy.class_family(*map(int, spec.split("x"))) == reference_parse_family(spec)
+
+
+def reference_deferred_acceptance(instance, lists):
+    """The deferred-acceptance loop that recorded every wave for every caller."""
+    prio, seats = instance.int_view.prio_rows, instance.int_view.seats
+    pointer = [0] * len(lists)
+    held = [[] for _ in seats]
+    waves = []
+    proposers = [k for k, order in enumerate(lists) if order]
+    while proposers:
+        proposals = {}
+        for k in proposers:
+            proposals.setdefault(lists[k][pointer[k]], []).append(k)
+        holds, rejections, rejected_now = {}, {}, []
+        for j, newcomers in proposals.items():
+            pool = held[j] + newcomers
+            pool.sort(key=prio[j].__getitem__)
+            if len(pool) > seats[j]:
+                rejections[j] = sorted(pool[seats[j]:])
+                rejected_now += rejections[j]
+                del pool[seats[j]:]
+            held[j] = holds[j] = pool
+        waves.append((proposers, proposals, holds, rejections))
+        for k in rejected_now:
+            pointer[k] += 1
+        proposers = sorted(k for k in rejected_now if pointer[k] < len(lists[k]))
+    seat = [-1] * len(lists)
+    for j, ks in enumerate(held):
+        for k in ks:
+            seat[k] = j
+    return seat, DaTrace(instance.students, instance.schools, tuple(waves))
+
+
+def test_untraced_deferred_acceptance_matches_traced_reference():
+    """Strict instances with truncated lists, capacities 1-3 and tie-broken
+    priorities alternate with tie-broken weak-preference instances."""
+    rng = random.Random(23)
+    seen = dict.fromkeys(["weak", "truncated", "short", "capacity_3", "rejections"], 0)
+    for n in range(2000):
+        if n % 2:
+            inst = coarse_instance(rng, students=(2, 8), schools=(1, 5))
+        else:
+            weak = varied_instance(rng)
+            seen["weak"] += not weak.has_strict_prefs
+            inst = tie_break(weak, rng.randint(0, 3))
+        lists = inst.int_view.lists
+        seat, trace = reference_deferred_acceptance(inst, lists)
+        got_seat, got_trace = _deferred_acceptance(inst, lists)
+        assert got_seat == seat and got_trace == trace
+        assert repr(got_trace.waves) == repr(trace.waves)   # dict order too
+        assert _deferred_acceptance(inst, lists, traced=False) == (seat, None)
+        seen["truncated"] += any(len(order) < len(inst.schools) for order in lists)
+        seen["short"] += sum(inst.int_view.seats) < len(inst.students)
+        seen["capacity_3"] += 3 in inst.int_view.seats
+        seen["rejections"] += sum(len(ks) for wave in trace.waves for ks in wave[3].values())
+    assert seen["weak"] > 400 and seen["truncated"] > 500 and seen["short"] > 500
+    assert seen["capacity_3"] > 300 and seen["rejections"] > 5000
+
+
+def reference_draw_instance(family, report, rng):
+    """The name-level draw: ``rng.shuffle`` of each other student's classes
+    in turn, then of each school's priority order, all by name."""
+    prefs = {family.fixed_student: report}
+    for i in family.students:
+        if i != family.fixed_student:
+            order = []
+            for cl in family.partition.classes:
+                block = list(cl)
+                rng.shuffle(block)
+                order.extend(block)
+            prefs[i] = WeakOrder.strict(order)
+    prios = {}
+    for s in family.schools:
+        order = list(family.students)
+        rng.shuffle(order)
+        prios[s] = WeakOrder.strict(order)
+    return Instance(family.students, family.schools, family.capacity(), prefs, prios)
+
+
+VIEWS = ("student_index", "school_index", "has_strict_prefs", "is_strict", "int_view", "pref_rows")
+
+
+def test_index_level_draw_matches_name_level_reference():
+    """The draw equals the reference, leaves ``rng`` in the same state, and
+    hands over each view as its lazy builder would build it.  Reports are
+    the truth, a drawn class-respecting profile or one with a tie."""
+    families = [strategy.class_family(*shape) for shape in (
+        (2, 2), (2, 3), (2, 2, 2), (3, 2), (3, 1, 2), (1, 3), (3, 2, 2))]
+    for seed in range(3000):
+        family = families[seed % len(families)]
+        schools, report_rng = family.schools, random.Random(-seed)
+        report = (family.truth, strategy.class_respecting_profile(report_rng, family.partition),
+                  WeakOrder((schools[:2], *zip(schools[2:]))))[seed % 3]
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        inst = family.draw_instance(report, rng)
+        assert inst == reference_draw_instance(family, report, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+        lazy = Instance(inst.students, inst.schools, inst.capacity, inst.prefs, inst.prios)
+        for view in VIEWS:
+            assert vars(inst)[view] == getattr(lazy, view), (seed, view)

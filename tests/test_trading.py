@@ -315,6 +315,37 @@ def test_realize_domination_incomparable(scp4):
     assert trading.realize_domination(scp4, ttc(scp4)) is None
 
 
+def tied_priority_instance(rng):
+    """2-5 students, 1-4 schools of 1-2 seats; strict complete preferences,
+    priorities in one to three indifference classes."""
+    n, m = rng.randint(2, 5), rng.randint(1, 4)
+    students = tuple(f"i{k}" for k in range(1, n + 1))
+    schools = tuple(f"s{k}" for k in range(1, m + 1))
+    prios = {}
+    for s in schools:
+        order = rng.sample(students, n)
+        cuts = sorted(rng.sample(range(1, n), min(rng.randint(0, 2), n - 1)))
+        prios[s] = WeakOrder.of(order[a:b] for a, b in zip([0] + cuts, cuts + [n]))
+    return Instance(students, schools, {s: rng.randint(1, 2) for s in schools},
+                    {i: WeakOrder.strict(rng.sample(schools, m)) for i in students}, prios)
+
+
+def test_realize_domination_breaks_ties_with_the_given_lottery():
+    """A lottery-t TADAM outcome, judged against the lottery-t baseline, is
+    reached by trading cliques alone; against lottery 0 it often is not."""
+    rng = random.Random(5)
+    mismatched = 0
+    for _ in range(3000):
+        inst = tied_priority_instance(rng)
+        for t in (1, 2, 3):
+            outcome = trading.tadam_run(inst, tiebreak=t).matching
+            cliques = trading.realize_domination(inst, outcome, tiebreak=t)
+            assert cliques is not None
+            assert all(c.kind is trading.CliqueKind.TRADING for c in cliques)
+            mismatched += trading.realize_domination(inst, outcome) is None
+    assert mismatched > 1000
+
+
 def test_acyclicity_matches_oracle_efficiency():
     rng = random.Random(33)
     for _ in range(20):
