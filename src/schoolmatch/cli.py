@@ -21,8 +21,20 @@ from .mechanisms import eadam, sosm, ttc
 from .model import Instance, Matching, UNASSIGNED, tie_break
 
 
-def _load_instance(path: str) -> Instance:
-    return textio.parse_instance(Path(path).read_text())
+def _load(args) -> tuple[Instance, Instance]:
+    """The instance FILE as written, and with its ties broken by lottery --tiebreak."""
+    instance = textio.parse_instance(Path(args.file).read_text())
+    return instance, tie_break(instance, args.tiebreak)
+
+
+def _reject_unread(args, choice: str, readers: dict[str, tuple[str, ...]]) -> None:
+    """Fail on an option given to a ``--<choice>`` not among ``readers[option]``."""
+    chosen = getattr(args, choice)
+    for dest, choices in readers.items():
+        if getattr(args, dest) is not None and chosen not in choices:
+            flag = "FILE" if dest == "file" else f"--{dest}"
+            raise SchoolMatchError(f"--{choice} {chosen} reads no {flag}; "
+                                   f"it is for --{choice} {'/'.join(choices)}")
 
 
 def _matching_str(matching: Matching) -> str:
@@ -80,8 +92,8 @@ def _parse_consent(text: Optional[str], instance: Instance) -> tuple[str, ...]:
     return names
 
 
-def _parse_policy(text: str) -> "str | int":
-    if text == "canonical":
+def _parse_policy(text: Optional[str]) -> "str | int":
+    if text is None or text == "canonical":
         return "canonical"
     if text.startswith("seed:"):
         try:
@@ -109,6 +121,8 @@ def _load_coalition(path: str, instance: Instance) -> coalitions.Coalition:
         keyword, *members = line.split()
         if keyword != "loop":
             raise SchoolMatchError(f"coalition file line {lineno}: expected 'loop i1 i2 ...'")
+        if len(members) < 2:
+            raise SchoolMatchError(f"coalition file line {lineno}: a loop needs two students or more")
         loops.append(tuple(members))
     baseline, _ = sosm(instance)
     return coalitions.build_coalition(instance, baseline, tuple(loops))
@@ -118,9 +132,9 @@ def _load_coalition(path: str, instance: Instance) -> coalitions.Coalition:
 # solve
 
 def _cmd_solve(args, out) -> int:
-    instance = _load_instance(args.file)
-    policy = _parse_policy(args.policy)
-    strict = tie_break(instance, args.tiebreak)
+    _reject_unread(args, "mechanism",
+                   {"consent": ("eadam",), "policy": ("tadam",), "coalition": ("cim",)})
+    instance, strict = _load(args)
     extra: dict = {}
 
     if args.mechanism == "da":
@@ -137,13 +151,13 @@ def _cmd_solve(args, out) -> int:
         extra["rounds"] = len(result.traces)
     elif args.mechanism == "tadam":
         from . import trading
-        result = trading.tadam_run(instance, policy, tiebreak=args.tiebreak)
+        result = trading.tadam_run(instance, _parse_policy(args.policy), tiebreak=args.tiebreak)
         matching = result.matching
         extra["baseline"] = result.baseline.as_dict()
         extra["cliques"] = [" -> ".join(c.cycle) for c in result.applied]
-    elif args.mechanism == "cim":
+    else:  # cim
         from . import coalitions
-        if args.coalition:
+        if args.coalition is not None:
             coalition = _load_coalition(args.coalition, strict)
             matching, verified = coalitions.run_coalition(strict, coalition)
             extra["verified"] = verified
@@ -156,8 +170,6 @@ def _cmd_solve(args, out) -> int:
             )
             matching = best.matching
             extra = _coalition_fields(best)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SchoolMatchError(f"unknown mechanism {args.mechanism}")
 
     report = {"mechanism": args.mechanism, **_matching_report(instance, matching), **extra}
     _emit(report, args.format, out)
@@ -168,8 +180,7 @@ def _cmd_solve(args, out) -> int:
 # trace
 
 def _cmd_trace(args, out) -> int:
-    instance = _load_instance(args.file)
-    strict = tie_break(instance, args.tiebreak)
+    instance, strict = _load(args)
     matching, trace = sosm(strict)
     if args.format == "json-like":
         report = {
@@ -213,8 +224,7 @@ def _cmd_trace(args, out) -> int:
 
 def _cmd_enumerate(args, out) -> int:
     from . import coalitions, oracle, trading
-    instance = _load_instance(args.file)
-    strict = tie_break(instance, args.tiebreak)
+    instance, strict = _load(args)
 
     if args.what == "stable":
         found = oracle.stable_set(instance)
@@ -223,7 +233,7 @@ def _cmd_enumerate(args, out) -> int:
         found = oracle.efficient_dominations_of(instance, baseline)
     elif args.what == "tadam":
         found = trading.tadam_enumerate(instance, tiebreak=args.tiebreak).terminals
-    elif args.what == "coalitions":
+    else:  # coalitions
         outcomes = coalitions.enumerate_coalitions(strict)
         report = {
             "count": len(outcomes),
@@ -238,8 +248,6 @@ def _cmd_enumerate(args, out) -> int:
         }
         _emit(report, args.format, out)
         return 0
-    else:  # pragma: no cover
-        raise SchoolMatchError(f"unknown enumeration {args.what}")
 
     report = {
         "count": len(found),
@@ -264,9 +272,8 @@ def _seat_order(matching: Matching) -> tuple:
 # analyze
 
 def _cmd_analyze(args, out) -> int:
-    instance = _load_instance(args.file)
+    instance, strict = _load(args)
     matching = textio.parse_matching(Path(args.matching).read_text(), instance)
-    strict = tie_break(instance, args.tiebreak)
     baseline, _ = sosm(strict)
     report = {
         **_matching_report(instance, matching),
@@ -284,8 +291,7 @@ def _cmd_analyze(args, out) -> int:
 
 def _cmd_graph(args, out) -> int:
     from . import trading
-    instance = _load_instance(args.file)
-    strict = tie_break(instance, args.tiebreak)
+    instance, strict = _load(args)
     baseline, _ = sosm(strict)
     out.write(trading.to_dot(trading.SeatGraph(instance, baseline.seats(instance))) + "\n")
     return 0
@@ -314,15 +320,13 @@ def _cmd_strategy(args, out) -> int:
     from . import strategy
     if args.trials < 1:
         raise SchoolMatchError(f"--trials must be at least 1, not {args.trials}")
-    if args.family is not None and args.check in ("anonymity", "positive-association"):
-        raise SchoolMatchError(f"--check {args.check} draws no family; it takes no --family")
+    _reject_unread(args, "check", {"family": ("same-class", "dominance"),
+                                   "file": ("anonymity", "positive-association", "same-class")})
     spec = ("2x2" if args.check == "dominance" else "2x3") if args.family is None else args.family
     family = _parse_family(spec)
     rng = random.Random(args.seed)
 
     if args.check == "dominance":
-        if args.file:
-            raise SchoolMatchError("--check dominance draws its instances; it takes no FILE")
         if len(family.schools) < 2:
             raise SchoolMatchError("--family needs two schools to swap for the dominance check")
         alt = strategy.swap_in_profile(family.truth, *family.schools[:2])
@@ -343,8 +347,8 @@ def _cmd_strategy(args, out) -> int:
         return 0 if report_obj.verdict is not strategy.Verdict.FAILS else 1
 
     # Each mechanism's sweep checks the FILE once, or the next --trials draws of one stream.
-    if args.file:
-        instances = [_load_instance(args.file)]
+    if args.file is not None:
+        instances = [textio.parse_instance(Path(args.file).read_text())]
         if args.check == "same-class" and set(family.schools) != set(instances[0].schools):
             raise SchoolMatchError(f"--family {spec} partitions schools {' '.join(family.schools)}, "
                                    f"not the FILE's {' '.join(instances[0].schools)}")
@@ -385,37 +389,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run one mechanism on an instance file")
+    instance_file = argparse.ArgumentParser(add_help=False)
+    instance_file.add_argument("--tiebreak", type=int, default=0)
+    instance_file.add_argument("file")
+
+    p = sub.add_parser("solve", parents=[instance_file], help="run one mechanism on an instance file")
     p.add_argument("--mechanism", required=True,
                    choices=["da", "ttc", "eadam", "tadam", "cim"])
-    p.add_argument("--consent", help="comma-separated students or 'all'")
-    p.add_argument("--policy", default="canonical", help="'canonical' or 'seed:N'")
-    p.add_argument("--tiebreak", type=int, default=0)
-    p.add_argument("--coalition", help="coalition file of 'loop i1 i2 ...' lines")
-    p.add_argument("file")
+    p.add_argument("--consent", help="eadam: comma-separated students or 'all' (default)")
+    p.add_argument("--policy", help="tadam: 'canonical' (default) or 'seed:N'")
+    p.add_argument("--coalition", help="cim: coalition file of 'loop i1 i2 ...' lines")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("trace", help="deferred-acceptance step table")
-    p.add_argument("--tiebreak", type=int, default=0)
-    p.add_argument("file")
+    p = sub.add_parser("trace", parents=[instance_file], help="deferred-acceptance step table")
     p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser("enumerate", help="enumerate matchings of a kind")
+    p = sub.add_parser("enumerate", parents=[instance_file], help="enumerate matchings of a kind")
     p.add_argument("--what", required=True,
                    choices=["stable", "efficient-dominations", "tadam", "coalitions"])
-    p.add_argument("--tiebreak", type=int, default=0)
-    p.add_argument("file")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("analyze", help="analyze a matching file against an instance")
+    p = sub.add_parser("analyze", parents=[instance_file],
+                       help="analyze a matching file against an instance")
     p.add_argument("--matching", required=True)
-    p.add_argument("--tiebreak", type=int, default=0)
-    p.add_argument("file")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("graph", help="DOT export of the baseline trading graph")
-    p.add_argument("--tiebreak", type=int, default=0)
-    p.add_argument("file")
+    p = sub.add_parser("graph", parents=[instance_file], help="DOT export of the baseline trading graph")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("strategy", help="strategic-behavior sweeps")

@@ -98,9 +98,9 @@ def falsified_profile(
 ) -> WeakOrder:
     """Move the displaced schools below the student's baseline assignment.
 
-    The new strict list is (left-of-baseline minus displaced), then the
-    baseline school, then (right-of-baseline plus displaced).  Seed 0
-    keeps the original relative order in the left block and appends the
+    The new strict list is (left-of-baseline minus displaced), the baseline
+    school, then (right-of-baseline minus displaced) plus each displaced
+    school once.  Seed 0 keeps the original relative order and appends the
     displaced schools in canonical order; other seeds permute each block.
     """
     pivot = baseline[student]
@@ -110,7 +110,7 @@ def falsified_profile(
     # An unassigned student has an empty right block: everything is "left".
     cut = sequence.index(pivot) if pivot is not None else len(sequence)
     left = [s for s in sequence[:cut] if s not in displaced]
-    right = list(sequence[cut + 1:]) + sorted(
+    right = [s for s in sequence[cut + 1:] if s not in displaced] + sorted(
         displaced, key=instance.school_index.__getitem__
     )
     if seed != 0:

@@ -11,7 +11,7 @@ import pytest
 
 from schoolmatch import sosm, textio, ttc
 from schoolmatch.cli import main
-from schoolmatch.model import WeakOrder, rank, tie_break
+from schoolmatch.model import Matching, WeakOrder, rank, tie_break
 from schoolmatch.strategy import random_strict_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -326,6 +326,8 @@ def test_unreadable_file_is_one_line_error(tmp_path, capsys, argv):
 COALITION_FILES = {
     "unknown": "loop i1 ghost\n",   # names a student the instance lacks
     "invalid": "loop i5 i1\n",      # i1 does not prefer i5's baseline school
+    "bare": "loop\n",               # a loop of no students
+    "single": "loop i1\n",          # a loop of one student
 }
 
 
@@ -347,9 +349,18 @@ COALITION_FILES = {
     ["strategy", "--check", "positive-association", "--family", "2x2", fix("scp1")],
     ["strategy", "--check", "dominance", "--family", "", "--trials", "10"],
     ["strategy", "--check", "same-class", fix("scp1")],   # 2x3 names s1-s6, the FILE s1-s3
+    ["solve", "--mechanism", "cim", "--coalition", "{bare}", fix("scp2")],
+    ["solve", "--mechanism", "cim", "--coalition", "{single}", fix("scp2")],
+    # Each mechanism input given to a mechanism that does not read it.
+    ["solve", "--mechanism", "da", "--consent", "i9", fix("scp1")],
+    ["solve", "--mechanism", "ttc", "--policy", "seed:3", fix("scp1")],
+    ["solve", "--mechanism", "eadam", "--coalition", "{missing}", fix("scp3")],
+    ["solve", "--mechanism", "da", "--coalition", "{missing}", fix("scp1")],
+    ["solve", "--mechanism", "tadam", "--consent", "all", fix("scp6")],
+    ["solve", "--mechanism", "cim", "--policy", "canonical", fix("scp2")],
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
-    names = {}
+    names = {"missing": str(tmp_path / "missing.txt")}
     for name, text in COALITION_FILES.items():
         names[name] = str(tmp_path / f"{name}.txt")
         Path(names[name]).write_text(text)
@@ -384,6 +395,44 @@ def test_coalition_file_splits_on_any_whitespace(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == \
         "error: coalition file line 3: expected 'loop i1 i2 ...'\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--mechanism", "cim", "--coalition", "{coalition}"],
+     "coalition file line 2: a loop needs two students or more"),
+    (["--mechanism", "da", "--consent", "i9"],
+     "--mechanism da reads no --consent; it is for --mechanism eadam"),
+    (["--mechanism", "ttc", "--policy", "seed:3"],
+     "--mechanism ttc reads no --policy; it is for --mechanism tadam"),
+    (["--mechanism", "eadam", "--coalition", "{coalition}"],
+     "--mechanism eadam reads no --coalition; it is for --mechanism cim"),
+], ids=["short-loop", "consent", "policy", "coalition"])
+def test_solve_names_the_option_or_loop_it_rejects(tmp_path, capsys, argv, err):
+    coalition = tmp_path / "coalition.txt"
+    coalition.write_text("loop i1 i2 i4\nloop i3\n")
+    code = main(["solve", *(a.format(coalition=coalition) for a in argv), fix("scp2")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_sweep_writes_each_failing_instance_and_exits_1(tmp_path, monkeypatch, capsys):
+    """A mechanism that seats students by declaration order ignores a swap
+    of school labels: both anonymity checks of the FILE fail, and each
+    counterexample file, written in the working directory, replays it."""
+    from schoolmatch import strategy
+    by_order = lambda inst: Matching.of(dict(zip(inst.students, inst.schools)), inst)
+    monkeypatch.setattr(strategy, "mechanism_by_name", lambda name: by_order)
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json(capsys, "strategy", "--check", "anonymity", "--seed", "4", fix("scp1"))
+    assert code == 1
+    files = ["counterexample_anonymity_4_0.txt", "counterexample_anonymity_4_1.txt"]
+    assert report["cases"] == 2 and report["failures"] == 2
+    assert report["counterexample_files"] == files
+    instance = textio.parse_instance(Path(fix("scp1")).read_text())
+    for name in files:
+        text = (tmp_path / name).read_text()
+        assert text.startswith("# counterexample: anonymity sweep, seed 4, case ")
+        assert textio.parse_instance(text) == instance
 
 
 def test_unknown_consent_student_rejected(capsys):

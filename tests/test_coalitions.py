@@ -53,6 +53,20 @@ def test_falsified_profile_scp2(scp2):
     assert profile.strict_sequence() == ("s5", "s3", "s1", "s2", "s4")
 
 
+def test_falsified_profile_lists_each_school_once(scp2):
+    """A displaced school already below the baseline school (i5 holds s3
+    and ranks s1 last) moves to the end once, not a second time."""
+    baseline, _ = sosm(scp2)
+    assert baseline["i5"] == "s3"
+    for x, want in (({"s1"}, ("s5", "s4", "s2", "s3", "s1")),
+                    ({"s1", "s4"}, ("s5", "s2", "s3", "s1", "s4"))):
+        for seed in (0, 1, 2, 3):
+            seq = coalitions.falsified_profile(scp2, baseline, "i5", frozenset(x), seed)
+            seq = seq.strict_sequence()
+            assert sorted(seq) == sorted(scp2.schools)
+            assert seed != 0 or seq == want
+
+
 def test_falsified_profile_empty_x(scp2):
     baseline, _ = sosm(scp2)
     assert coalitions.falsified_profile(

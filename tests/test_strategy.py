@@ -8,7 +8,7 @@ import pytest
 from schoolmatch import sosm
 from schoolmatch import strategy, textio
 from schoolmatch.errors import PreconditionError
-from schoolmatch.model import UNASSIGNED, Instance, WeakOrder, rank
+from schoolmatch.model import UNASSIGNED, Instance, Matching, WeakOrder, rank
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -145,6 +145,35 @@ def test_dominance_trial_needs_a_trial():
         strategy.dominance_trial(
             strategy.mechanism_by_name("da"), fam, fam.truth, fam.truth, 0, 7
         )
+
+
+def test_dominance_trial_fails_when_the_alternative_seats_her_better():
+    """i1 gets s1 only when she reports the alternative: the alternative's
+    CDF lies above the truth's by far more than the band."""
+    fam = strategy.two_class_family(2)
+    alt = strategy.swap_in_profile(fam.truth, "s1", "s2")
+    rigged = lambda inst: Matching.of({"i1": "s1" if inst.prefs["i1"] == alt else "s2"}, inst)
+    rep = strategy.dominance_trial(rigged, fam, fam.truth, alt, 100, 3)
+    assert rep.truth_dist == {"s2": 1.0} and rep.alt_dist == {"s1": 1.0}
+    assert rep.points[0].alt_cdf - rep.points[0].truth_cdf > rep.points[0].band
+    assert rep.verdict is strategy.Verdict.FAILS
+
+
+def test_dominance_trial_deficit_inside_the_band_is_inconclusive():
+    """i1 gets s1 on every call but the first (the truthful report of trial
+    1): a deficit of one trial in 100, inside the band."""
+    fam = strategy.two_class_family(2)
+    calls = []
+
+    def once_short(inst):
+        calls.append(inst)
+        return Matching.of({"i1": "s2" if len(calls) == 1 else "s1"}, inst)
+
+    rep = strategy.dominance_trial(once_short, fam, fam.truth, fam.truth, 100, 3)
+    assert len(calls) == 200
+    assert rep.truth_dist == {"s1": 0.99, "s2": 0.01} and rep.alt_dist == {"s1": 1.0}
+    assert 0 < rep.points[0].alt_cdf - rep.points[0].truth_cdf <= rep.points[0].band
+    assert rep.verdict is strategy.Verdict.INCONCLUSIVE
 
 
 def test_dominance_trial_tadam_small():
