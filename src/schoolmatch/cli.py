@@ -22,9 +22,9 @@ from .model import Instance, Matching, UNASSIGNED, tie_break
 
 
 def _load(args) -> tuple[Instance, Instance]:
-    """The instance FILE as written, and with its ties broken by lottery --tiebreak."""
+    """The instance FILE as written, and with its ties broken by lottery --tiebreak (0)."""
     instance = textio.parse_instance(Path(args.file).read_text())
-    return instance, tie_break(instance, args.tiebreak)
+    return instance, tie_break(instance, args.tiebreak or 0)
 
 
 def _reject_unread(args, choice: str, readers: dict[str, tuple[str, ...]]) -> None:
@@ -151,7 +151,7 @@ def _cmd_solve(args, out) -> int:
         extra["rounds"] = len(result.traces)
     elif args.mechanism == "tadam":
         from . import trading
-        result = trading.tadam_run(instance, _parse_policy(args.policy), tiebreak=args.tiebreak)
+        result = trading.tadam_run(instance, _parse_policy(args.policy), tiebreak=args.tiebreak or 0)
         matching = result.matching
         extra["baseline"] = result.baseline.as_dict()
         extra["cliques"] = [" -> ".join(c.cycle) for c in result.applied]
@@ -224,6 +224,7 @@ def _cmd_trace(args, out) -> int:
 
 def _cmd_enumerate(args, out) -> int:
     from . import coalitions, oracle, trading
+    _reject_unread(args, "what", {"tiebreak": ("efficient-dominations", "tadam", "coalitions")})
     instance, strict = _load(args)
 
     if args.what == "stable":
@@ -232,7 +233,7 @@ def _cmd_enumerate(args, out) -> int:
         baseline, _ = sosm(strict)
         found = oracle.efficient_dominations_of(instance, baseline)
     elif args.what == "tadam":
-        found = trading.tadam_enumerate(instance, tiebreak=args.tiebreak).terminals
+        found = trading.tadam_enumerate(instance, tiebreak=args.tiebreak or 0).terminals
     else:  # coalitions
         outcomes = coalitions.enumerate_coalitions(strict)
         report = {
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     instance_file = argparse.ArgumentParser(add_help=False)
-    instance_file.add_argument("--tiebreak", type=int, default=0)
+    instance_file.add_argument("--tiebreak", type=int)   # None reads as lottery 0
     instance_file.add_argument("file")
 
     p = sub.add_parser("solve", parents=[instance_file], help="run one mechanism on an instance file")

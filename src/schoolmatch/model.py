@@ -156,7 +156,8 @@ class Instance:
 
     def replace_prefs(self, new_prefs: Mapping[str, PreferenceProfile]) -> "Instance":
         """The instance with some students' profiles replaced.  Views already
-        built carry over; only the replaced students' list and row are rebuilt."""
+        built carry over; only the replaced students' list and row are rebuilt,
+        and the strictness flags carry over if True and every new order is strict."""
         index, built = self.student_index, vars(self)
         named = {s for order in new_prefs.values() for s in order.items()}
         for kind, unknown in (("students", new_prefs.keys() - index.keys()),
@@ -175,6 +176,8 @@ class Instance:
             kept["int_view"] = IntView(rebuilt(view.lists, _index_list), view.prio_rows, view.seats)
         if "pref_rows" in built:
             kept["pref_rows"] = rebuilt(built["pref_rows"], _rank_row)
+        if all(order.is_strict for order in new_prefs.values()):
+            kept.update((k, True) for k in ("has_strict_prefs", "is_strict") if built.get(k))
         return Instance._with_views(self.students, self.schools, dict(self.capacity),
                                     {**self.prefs, **new_prefs}, self.prios, **kept)
 

@@ -1,9 +1,10 @@
 """Trading cycles over a matching: its trading graph (:class:`SeatGraph`),
 trading/null clique detection, the clique-application mechanism run on top
 of the deferred-acceptance baseline, one walk over the matchings reachable
-by cliques, and seat permutations split into cycles.  Every cycle is found
-on the seat graph; :func:`find_cliques` emits them already sorted, and with
-polynomial delay, as its docstring explains."""
+by cliques, and seat permutations split into cycles.  Every cycle of
+students is found by one walk on the seat graph, :func:`_cycles`, sorted and
+with polynomial delay: :func:`find_cliques` names its cycles, and
+:func:`least_trading_clique` takes the first of its trading-only mode."""
 
 from __future__ import annotations
 
@@ -75,31 +76,40 @@ def build_graph(instance: Instance, matching: Matching) -> SeatGraph:
     return SeatGraph(instance, matching.seats(instance))
 
 
-def find_cliques(
-    graph: SeatGraph,
-    limit: int = DEFAULT_CYCLE_LIMIT,
-    strict_edges: bool = False,
-) -> list[Clique]:
-    """Every elementary cycle of students (see :class:`SeatGraph`), trading
-    if it has a weight-1 edge, else null; ``strict_edges`` keeps only
-    weight-1 edges.  Past ``limit`` cycles it raises with the least
-    ``limit``.  For each least student v in turn, a depth-first search
-    over the students above v, successors ascending, closes the path at v
-    before extending it, so cycles come out sorted as index tuples.  It
-    steps to u only if u still reaches v off the path, by one reverse
-    search that visits each student once; so every branch ends in a cycle
-    and two cycles are at most O(n) searches apart.
+def _cycles(
+    graph: SeatGraph, into: list[dict[int, int]], trading: bool = False
+) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """The elementary cycles of students over the edges ``into``, sorted
+    as index tuples, each with whether it has a weight-1 edge; with
+    ``trading``, only those that have one.  For each least student v in
+    turn, a depth-first search over the students above v, successors
+    ascending, closes the path at v before extending it.  It steps to u
+    only if u reaches a seed, an in-neighbour of v, off the path: one
+    reverse search visiting each student once, so every branch ends in a
+    cycle and two cycles are at most O(n) searches apart.  Until the path
+    holds a weight-1 edge, the ``trading`` walk seeds from v's weight-1
+    in-neighbours only: exact if weight-0 edges stay within their group
+    (see :func:`least_trading_clique`); if not, it walks every cycle.
     """
-    seat, name, n = graph.seat, graph.instance.students.__getitem__, len(graph.seat)
-    into = [{k: 1 for k, w in g.items() if w} for g in graph.into] if strict_edges else graph.into
-    # Sets of students are bitmasks: who points to group g, whom k points to.
-    points = [sum(1 << k for k in group) for group in into]
-    out = [sum(1 << u for u, g in enumerate(seat) if k in into[g]) for k in range(n)]
+    seat, n = graph.seat, len(graph.seat)
+    # Sets of students are bitmasks: who holds group g, who points to it
+    # (by weight 1: ``gain``), and whom k points to.
+    held, points, gain, out = [0] * len(into), [], [], [0] * n
+    for k, g in enumerate(seat):
+        held[g] |= 1 << k
+    for group, h in zip(into, held):
+        p = w = 0
+        for k, wt in group.items():
+            p, w, out[k] = p | 1 << k, w | wt << k, out[k] | h
+        points.append(p)
+        gain.append(w)
+    exact = trading and all(p == w | h for p, w, h in zip(points, gain, held))
+    seeds = gain if exact else points
 
-    def ahead(v: int, on: int) -> int:
-        """The students above v, off the path ``on``, that reach v off it."""
+    def ahead(v: int, on: int, seed: int) -> int:
+        """The students above v, off the path ``on``, that reach ``seed`` off it."""
         free, reach = ~on & -(2 << v), 0
-        fresh = points[seat[v]] & free
+        fresh = seed & free
         while fresh:
             reach, nxt = reach | fresh, 0
             while fresh:
@@ -109,81 +119,66 @@ def find_cliques(
             fresh = nxt & free & ~reach
         return reach
 
-    cliques: list[Clique] = []
     for v in range(n):
-        path, on = [v], 1 << v
-        todo = [out[v] & ahead(v, on)]   # each path node's successors still to try
+        g = seat[v]
+        home, path, on, gained = into[g], [v], 1 << v, [False]
+        todo = [out[v] & ahead(v, on, seeds[g])]   # each path node's successors still to try
         while todo:
             if not (left := todo[-1]):
                 todo.pop()
+                gained.pop()
                 on ^= 1 << path.pop()
                 continue
             low = left & -left
             todo[-1], u = left ^ low, low.bit_length() - 1
+            traded = gained[-1] or into[seat[u]][path[-1]] == 1
             path.append(u)
+            gained.append(traded)
             on |= low
-            if u in into[seat[v]]:
-                if len(cliques) == limit:
-                    raise CycleLimitExceededError(
-                        f"found more than {limit} cycles; raise cycle_limit to enumerate further",
-                        partial=cliques,
-                    )
-                trades = any(into[seat[b]][a] for a, b in zip(path, path[1:] + [v]))
-                cliques.append(Clique(tuple(map(name, path)),
-                                      CliqueKind.TRADING if trades else CliqueKind.NULL))
-            todo.append(out[u] & ahead(v, on))
+            if u in home and ((trades := traded or home[u] == 1) or not trading):
+                yield tuple(path), trades
+            todo.append(out[u] & ahead(v, on, points[g] if traded else seeds[g]))
+
+
+def find_cliques(
+    graph: SeatGraph,
+    limit: int = DEFAULT_CYCLE_LIMIT,
+    strict_edges: bool = False,
+) -> list[Clique]:
+    """Every elementary cycle of students (see :class:`SeatGraph`), trading
+    if it has a weight-1 edge, else null, sorted as index tuples with
+    polynomial delay (see :func:`_cycles`); ``strict_edges`` keeps only
+    weight-1 edges.  Past ``limit`` cycles it raises with the least ``limit``.
+    """
+    name = graph.instance.students.__getitem__
+    into = [{k: 1 for k, w in g.items() if w} for g in graph.into] if strict_edges else graph.into
+    cliques: list[Clique] = []
+    for cycle, trades in _cycles(graph, into):
+        if len(cliques) == limit:
+            raise CycleLimitExceededError(
+                f"found more than {limit} cycles; raise cycle_limit to enumerate further",
+                partial=cliques,
+            )
+        cliques.append(Clique(tuple(map(name, cycle)),
+                              CliqueKind.TRADING if trades else CliqueKind.NULL))
     return cliques
 
 
 def least_trading_clique(graph: SeatGraph) -> Optional[tuple[int, ...]]:
     """The cycle of the first trading clique of :func:`find_cliques`, as
-    student indices, found without enumerating cycles; needs strict
-    preference profiles.
-
-    Cycles start at their least student and compare as index tuples, so
-    take the least v on a trading cycle of G[>= v] and grow a path from v:
-    close it at v once it holds a weight-1 edge, else step to the least
-    out-neighbour u that still has a completion.  With strict preferences
-    a weight-0 edge only joins students who hold the same school (or
-    none), and such students have the same in-neighbours.  So a cycle
-    through v is trading iff it leaves v's school group, (w, v) has weight
-    1 iff w is outside it, and a path back into the group enters it from
-    such a w.  Hence u has a completion iff, avoiding the path and all
-    students up to v, u reaches an in-neighbour w of v, with (w, v) of
-    weight 1 while the path has no weight-1 edge yet: one reverse search
-    per step, and the walk never dead-ends after its first step.  The
-    in-neighbours of a student are those pointing to her group, so the
-    search expands each group once, and it stops at the least candidate.
+    student indices: the first cycle of :func:`_cycles`' ``trading`` walk,
+    polynomial for strict preference profiles, which it needs.  With them
+    a weight-0 edge joins students who hold the same school (or none),
+    unless one holds a school off her list (then the walk visits every
+    cycle).  So a path of weight-0 edges from v stays in v's group, and a
+    cycle through v is trading iff it leaves the group, when the student
+    leading it back points to v by weight 1.  Hence, while the path has no
+    weight-1 edge, u can close a trading cycle iff u reaches a weight-1
+    in-neighbour of v off the path, and after one, iff u reaches any.
     """
     if not graph.instance.has_strict_prefs:
         raise ValueError("least_trading_clique needs strict preferences")
-    seat, into = graph.seat, graph.into
-    for v in range(len(seat)):
-        path, strict = [v], False
-        while True:
-            x, seen = path[-1], set(path)
-            if strict and x in into[seat[v]]:
-                return tuple(path)
-            stack = [w for w, wt in into[seat[v]].items() if w > v and w not in seen
-                     and (strict or wt)]
-            if not stack:  # no later weight-1 edge into v's group: no trading cycle from v
-                break
-            succ = [u for u in range(v + 1, len(seat)) if u not in seen and x in into[seat[u]]]
-            seen.update(stack)   # the path, then every student reached
-            expanded = set()
-            while stack and succ and succ[0] not in seen:
-                g = seat[stack.pop()]
-                if g not in expanded:
-                    expanded.add(g)
-                    fresh = [w for w in into[g] if w > v and w not in seen]
-                    seen.update(fresh)
-                    stack += fresh
-            nxt = next((u for u in succ if u in seen), None)
-            if nxt is None:  # only on the first step: no trading cycle from v
-                break
-            strict = strict or into[seat[nxt]][x] == 1
-            path.append(nxt)
-    return None
+    return next((cycle for cycle, _ in _cycles(graph, graph.into, trading=True)), None)
 
 
 def has_trading_clique(graph: SeatGraph) -> bool:

@@ -358,6 +358,7 @@ COALITION_FILES = {
     ["solve", "--mechanism", "da", "--coalition", "{missing}", fix("scp1")],
     ["solve", "--mechanism", "tadam", "--consent", "all", fix("scp6")],
     ["solve", "--mechanism", "cim", "--policy", "canonical", fix("scp2")],
+    ["enumerate", "--what", "stable", "--tiebreak", "5", fix("scp1")],
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     names = {"missing": str(tmp_path / "missing.txt")}

@@ -67,15 +67,17 @@ def test_rank_rows_follow_the_one_rank_rule():
 
 VIEWS = tuple(name for name, attr in vars(Instance).items() if isinstance(attr, cached_property))
 CARRIED = {"student_index", "school_index", "int_view", "pref_rows"}
+FLAGS = ("has_strict_prefs", "is_strict")   # carried only when True and every new order strict
 
 
 def test_replace_prefs_carries_built_views():
     """Every view of a ``replace_prefs`` result equals a fresh instance's,
     whichever views the source had built; the views it had built among
-    ``CARRIED`` carry over, and running mechanisms on the result leaves
+    ``CARRIED`` carry over, and so do its ``FLAGS`` that are True when
+    every new order is strict; running mechanisms on the result leaves
     the source's views as they were."""
     rng = random.Random(14)
-    built_counts = {"none": 0, "some": 0, "all": 0}
+    built_counts = {"none": 0, "some": 0, "all": 0, "flags": 0}
     for t in range(600):
         n, m = rng.randint(1, 5), rng.randint(1, 4)
         students = tuple(f"i{k}" for k in range(1, n + 1))
@@ -103,7 +105,10 @@ def test_replace_prefs_carries_built_views():
                for i in rng.sample(students, min(n, rng.randint(1, 3)))}
         result = source.replace_prefs(new)
         carried = {name for name in VIEWS if name in vars(result)}
-        assert carried == CARRIED & (before.keys() | {"student_index"})
+        flags = {name for name in FLAGS
+                 if before.get(name) and all(o.is_strict for o in new.values())}
+        assert carried == (CARRIED & (before.keys() | {"student_index"})) | flags
+        built_counts["flags"] += bool(flags)
         if "int_view" in carried:
             assert result.int_view.prio_rows is source.int_view.prio_rows
             kept = [k for k, i in enumerate(students) if i not in new]
@@ -118,7 +123,7 @@ def test_replace_prefs_carries_built_views():
         else:
             oracle.stable_set(result)
         assert {name: vars(source)[name] for name in before} == before
-    assert min(built_counts.values()) > 50
+    assert min(built_counts.values()) > 50, built_counts
 
 
 def test_replace_prefs_rejects_unknown_students():

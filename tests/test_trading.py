@@ -598,6 +598,58 @@ def test_seat_graph_matches_student_graph_references_at_scale():
     assert min(verdicts.values()) >= 5 and len(verdicts) == 4, verdicts
 
 
+class CountedWeights(dict):
+    """A ``SeatGraph.into`` entry that counts the edge weights read."""
+    reads = 0
+
+    def __getitem__(self, k):
+        CountedWeights.reads += 1
+        return dict.__getitem__(self, k)
+
+
+def test_least_trading_clique_is_the_first_trading_clique():
+    """On 1,000 seeded strict instances of 5-9 students (multi-seat
+    schools, truncated lists, coarse priorities), at the DA matching, a TTC
+    matching and a random feasible one, ``least_trading_clique`` is the
+    first trading clique of ``find_cliques`` as indices, or None.  Where
+    every student holds a school on her list or none, it never backtracks:
+    it reads at most two edge weights per student of its answer (none
+    when there is no trading clique), so it enumerates no null cycle."""
+    rng = random.Random(39)
+    seen = collections.Counter()
+    for _ in range(1000):
+        inst = large_varied_instance(rng, rng.randint(5, 9), False)
+        index, rows = inst.student_index, inst.pref_rows
+        for m in (sosm(tie_break(inst, 0))[0], ttc(tie_break(inst, 1)),
+                  random_feasible_matching(rng, inst)):
+            graph = seat_graph(inst, m)
+            first = next((c.cycle for c in trading.find_cliques(graph)
+                          if c.kind is trading.CliqueKind.TRADING), None)
+            graph.into = [CountedWeights(g) for g in graph.into]
+            CountedWeights.reads = 0
+            got = trading.least_trading_clique(graph)
+            assert got == (first and tuple(map(index.__getitem__, first)))
+            if all(rows[k][g] <= rows[k][-1] for k, g in enumerate(graph.seat)):
+                assert CountedWeights.reads <= 2 * len(got or ()), (got, CountedWeights.reads)
+                seen["listed"] += 1
+            seen[got is None] += 1
+    assert min(seen[True], seen[False]) >= 100 and seen["listed"] > 2500, seen
+
+
+def test_least_trading_clique_past_an_off_list_seat():
+    """A student holding a school off her list ranks it like every other
+    school off her list, so her weight-0 edges leave her group; then the
+    walk visits every cycle.  i2 holds b and lists neither a nor b, so no
+    one points to i1's a by weight 1, yet i1 and i2 trade a for b."""
+    inst = Instance(("i1", "i2"), ("a", "b", "c"), dict.fromkeys("abc", 1),
+                    {"i1": WeakOrder.strict(("b", "a")), "i2": WeakOrder.strict(("c",))},
+                    dict.fromkeys("abc", WeakOrder.strict(("i1", "i2"))))
+    graph = seat_graph(inst, Matching.of({"i1": "a", "i2": "b"}, inst))
+    assert trading.least_trading_clique(graph) == (0, 1)
+    assert trading.find_cliques(graph) == [
+        trading.Clique(("i1", "i2"), trading.CliqueKind.TRADING)]
+
+
 def small_weak_instance(rng):
     """2-7 students and 1-4 schools of 1-2 seats, so often a seat short;
     preferences in classes of 1-3, 30 % of the lists truncated; strict
