@@ -94,11 +94,11 @@ def is_efficient(instance: Instance, matching: Matching) -> bool:
     starts on a weight-1 edge and, no two pointing alike, returns to her
     or reaches the vacancy, which leads to her.
     """
-    from .trading import SeatGraph, _trading_cycle
+    from .trading import SeatGraph, has_trading_clique
     graph = SeatGraph(instance, matching.seats(instance))
     fill, schools = Counter(graph.seat), instance.schools
-    return not _trading_cycle(graph, [g for g, s in enumerate(schools)
-                                      if fill[g] < instance.capacity[s]] + [len(schools)])
+    return not has_trading_clique(graph, [g for g, s in enumerate(schools)
+                                          if fill[g] < instance.capacity[s]] + [len(schools)])
 
 
 def is_reasonably_fair(

@@ -21,10 +21,10 @@ from .mechanisms import eadam, sosm, ttc
 from .model import Instance, Matching, UNASSIGNED, tie_break
 
 
-def _load(args) -> tuple[Instance, Instance]:
-    """The instance FILE as written, and with its ties broken by lottery --tiebreak (0)."""
+def _load(args, strict: bool = True) -> tuple[Instance, Optional[Instance]]:
+    """The instance FILE as written, and if ``strict`` with ties broken by --tiebreak (0)."""
     instance = textio.parse_instance(Path(args.file).read_text())
-    return instance, tie_break(instance, args.tiebreak or 0)
+    return instance, tie_break(instance, args.tiebreak or 0) if strict else None
 
 
 def _reject_unread(args, choice: str, readers: dict[str, tuple[str, ...]]) -> None:
@@ -134,7 +134,7 @@ def _load_coalition(path: str, instance: Instance) -> coalitions.Coalition:
 def _cmd_solve(args, out) -> int:
     _reject_unread(args, "mechanism",
                    {"consent": ("eadam",), "policy": ("tadam",), "coalition": ("cim",)})
-    instance, strict = _load(args)
+    instance, strict = _load(args, args.mechanism != "tadam")   # tadam_run breaks its own ties
     extra: dict = {}
 
     if args.mechanism == "da":
@@ -225,7 +225,7 @@ def _cmd_trace(args, out) -> int:
 def _cmd_enumerate(args, out) -> int:
     from . import coalitions, oracle, trading
     _reject_unread(args, "what", {"tiebreak": ("efficient-dominations", "tadam", "coalitions")})
-    instance, strict = _load(args)
+    instance, strict = _load(args, args.what in ("efficient-dominations", "coalitions"))
 
     if args.what == "stable":
         found = oracle.stable_set(instance)

@@ -16,8 +16,8 @@ class _LimitError(SchoolMatchError):
 
 
 class CycleLimitExceededError(_LimitError):
-    """Cycle enumeration hit its count limit; ``partial`` holds the least
-    ``limit`` cycles in canonical order, the head of the full list."""
+    """A cycle walk closed more than ``cycle_limit`` cycles; ``partial`` holds
+    ``find_cliques``' least ``limit`` cycles in order, or [] from ``tadam_run``."""
 
 
 class SearchLimitExceededError(_LimitError):

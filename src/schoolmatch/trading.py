@@ -77,7 +77,7 @@ def build_graph(instance: Instance, matching: Matching) -> SeatGraph:
 
 
 def _cycles(
-    graph: SeatGraph, into: list[dict[int, int]], trading: bool = False
+    graph: SeatGraph, into: list[dict[int, int]], limit: int, trading: bool = False
 ) -> Iterator[tuple[tuple[int, ...], bool]]:
     """The elementary cycles of students over the edges ``into``, sorted
     as index tuples, each with whether it has a weight-1 edge; with
@@ -90,6 +90,7 @@ def _cycles(
     holds a weight-1 edge, the ``trading`` walk seeds from v's weight-1
     in-neighbours only: exact if weight-0 edges stay within their group
     (see :func:`least_trading_clique`); if not, it walks every cycle.
+    Closing a cycle past ``limit``, yielded or not, raises with partial [].
     """
     seat, n = graph.seat, len(graph.seat)
     # Sets of students are bitmasks: who holds group g, who points to it
@@ -119,6 +120,7 @@ def _cycles(
             fresh = nxt & free & ~reach
         return reach
 
+    closed = 0
     for v in range(n):
         g = seat[v]
         home, path, on, gained = into[g], [v], 1 << v, [False]
@@ -135,8 +137,13 @@ def _cycles(
             path.append(u)
             gained.append(traded)
             on |= low
-            if u in home and ((trades := traded or home[u] == 1) or not trading):
-                yield tuple(path), trades
+            if u in home:
+                if (closed := closed + 1) > limit:
+                    raise CycleLimitExceededError(
+                        f"found more than {limit} cycles; raise cycle_limit to enumerate further",
+                        partial=[])
+                if (trades := traded or home[u] == 1) or not trading:
+                    yield tuple(path), trades
             todo.append(out[u] & ahead(v, on, points[g] if traded else seeds[g]))
 
 
@@ -153,41 +160,37 @@ def find_cliques(
     name = graph.instance.students.__getitem__
     into = [{k: 1 for k, w in g.items() if w} for g in graph.into] if strict_edges else graph.into
     cliques: list[Clique] = []
-    for cycle, trades in _cycles(graph, into):
-        if len(cliques) == limit:
-            raise CycleLimitExceededError(
-                f"found more than {limit} cycles; raise cycle_limit to enumerate further",
-                partial=cliques,
-            )
-        cliques.append(Clique(tuple(map(name, cycle)),
-                              CliqueKind.TRADING if trades else CliqueKind.NULL))
+    try:
+        for cycle, trades in _cycles(graph, into, limit):
+            cliques.append(Clique(tuple(map(name, cycle)),
+                                  CliqueKind.TRADING if trades else CliqueKind.NULL))
+    except CycleLimitExceededError as exc:
+        exc.partial = cliques
+        raise
     return cliques
 
 
-def least_trading_clique(graph: SeatGraph) -> Optional[tuple[int, ...]]:
+def least_trading_clique(
+    graph: SeatGraph, limit: int = DEFAULT_CYCLE_LIMIT
+) -> Optional[tuple[int, ...]]:
     """The cycle of the first trading clique of :func:`find_cliques`, as
     student indices: the first cycle of :func:`_cycles`' ``trading`` walk,
-    polynomial for strict preference profiles, which it needs.  With them
-    a weight-0 edge joins students who hold the same school (or none),
-    unless one holds a school off her list (then the walk visits every
-    cycle).  So a path of weight-0 edges from v stays in v's group, and a
-    cycle through v is trading iff it leaves the group, when the student
-    leading it back points to v by weight 1.  Hence, while the path has no
-    weight-1 edge, u can close a trading cycle iff u reaches a weight-1
-    in-neighbour of v off the path, and after one, iff u reaches any.
+    on any profile, counted to ``limit``.  With strict preferences a
+    weight-0 edge joins students who hold the same school (or none), unless
+    one holds a school off her list.  Then a path of weight-0 edges from v
+    stays in v's group, and a cycle through v is trading iff it leaves the
+    group, when the student leading it back points to v by weight 1.  So,
+    while the path has no weight-1 edge, u can close a trading cycle iff u
+    reaches a weight-1 in-neighbour of v off the path, and after one, iff u
+    reaches any: the walk is polynomial.  Elsewhere it walks every cycle.
     """
-    if not graph.instance.has_strict_prefs:
-        raise ValueError("least_trading_clique needs strict preferences")
-    return next((cycle for cycle, _ in _cycles(graph, graph.into, trading=True)), None)
+    return next((cycle for cycle, _ in _cycles(graph, graph.into, limit, trading=True)), None)
 
 
-def has_trading_clique(graph: SeatGraph) -> bool:
-    """True iff some cycle of students carries a weight-1 edge."""
-    return _trading_cycle(graph, ())
-
-
-def _trading_cycle(graph: SeatGraph, vacant: Collection[int]) -> bool:
-    """True iff some weight-1 edge (k, g) has both ends in one strongly
+def has_trading_clique(graph: SeatGraph, vacant: Collection[int] = ()) -> bool:
+    """True iff some cycle of students carries a weight-1 edge; with
+    ``vacant`` groups, some cycle through a vacancy vertex may close it.
+    That is, iff some weight-1 edge (k, g) has both ends in one strongly
     connected component of the seat graph plus a vacancy vertex, which the
     ``vacant`` groups point to and which points to every group.  With none
     vacant, a shortest path from g back to k closes a cycle of students.
@@ -251,24 +254,21 @@ def tadam_run(
     Ties in preferences or priorities are broken with seed ``tiebreak``
     for the baseline run; the trading graph uses the true weak preferences.
     Null cliques are never applied (they change no ranks).  Every run
-    trades in place on one :class:`SeatGraph`; canonical runs on strict
-    preferences (priorities may be weak) pick each clique in polynomial
-    time with :func:`least_trading_clique`, all others pick among the
-    cycles of :func:`find_cliques`, and only they obey ``cycle_limit``.
+    trades in place on one :class:`SeatGraph`.  Canonical runs take each
+    clique with :func:`least_trading_clique` on any profile, seeded runs
+    pick among the trading cycles of the full :func:`_cycles` walk; a pick
+    closing over ``cycle_limit`` cycles raises with an empty partial.
     """
     rng = None if policy == "canonical" else random.Random(policy)
     strict = tie_break(instance, tiebreak)
     seat, _ = _deferred_acceptance(strict, strict.int_view.lists, traced=False)
     graph, cycles = SeatGraph(instance, seat), []
-    least = rng is None and instance.has_strict_prefs
     while True:
-        if least:
-            cycle = least_trading_clique(graph)
-        else:  # the first trading clique, or a seeded random one, as indices
-            found = [c.cycle for c in find_cliques(graph, cycle_limit)
-                     if c.kind is CliqueKind.TRADING]
-            cycle = found and tuple(map(instance.student_index.__getitem__,
-                                        found[0] if rng is None else rng.choice(found)))
+        if rng is None:
+            cycle = least_trading_clique(graph, cycle_limit)
+        else:
+            found = [c for c, trades in _cycles(graph, graph.into, cycle_limit) if trades]
+            cycle = found and rng.choice(found)
         if not cycle:
             break
         graph.trade(cycle)
@@ -380,14 +380,13 @@ def seat_cycles(baseline: Matching, target: Matching) -> list[list[str]]:
 
 
 def realize_domination(
-    instance: Instance, target: Matching, tiebreak: int = 0
+    instance: Instance, baseline: Matching, target: Matching
 ) -> Optional[list[Clique]]:
-    """Clique sequence turning the deferred-acceptance baseline (ties
-    broken with seed ``tiebreak``) into ``target``, trading cliques first;
-    None if ``target`` does not dominate-or-equal the baseline."""
+    """Clique sequence turning ``baseline`` (as :attr:`TadamResult.baseline`)
+    into ``target``, trading cliques first; None if ``target`` does not
+    dominate-or-equal ``baseline``."""
     from .analysis import dominates
 
-    baseline, _ = sosm(tie_break(instance, tiebreak))
     if target == baseline:
         return []
     if not dominates(instance, target, baseline):

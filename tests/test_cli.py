@@ -232,6 +232,34 @@ def test_tadam_breaks_ties_with_the_lottery(tmp_path, capsys):
     assert da["matching"] == {"i1": "s2", "i2": "s1", "i3": "s3"}
 
 
+TIE_BREAKS = [
+    *((("solve", "--mechanism", m), 1) for m in ("da", "ttc", "eadam", "tadam", "cim")),
+    (("trace",), 1), (("graph",), 1), (("analyze", "--matching", "MATCHING"), 1),
+    *((("enumerate", "--what", w), 1) for w in ("efficient-dominations", "tadam", "coalitions")),
+    (("enumerate", "--what", "stable"), 0),
+]
+
+
+@pytest.mark.parametrize("argv, calls", TIE_BREAKS, ids=[" ".join(a) for a, _ in TIE_BREAKS])
+def test_each_command_breaks_ties_once(tmp_path, monkeypatch, capsys, argv, calls):
+    """Every command breaks the FILE's ties once, in the CLI or in the
+    library, and ``enumerate --what stable``, which reads no lottery, never."""
+    from schoolmatch import cli, trading
+    counted, real = [], cli.tie_break
+
+    def tie_break(instance, seed):
+        counted.append(seed)
+        return real(instance, seed)
+
+    for module in (cli, trading):
+        monkeypatch.setattr(module, "tie_break", tie_break)
+    matching = tmp_path / "m.txt"
+    matching.write_text("i1 s2\ni2 s1\ni3 s3\n")
+    argv = [str(matching) if a == "MATCHING" else a for a in argv]
+    code, _ = run(capsys, *argv, fix("scp6"))
+    assert code == 0 and len(counted) == calls, counted
+
+
 def test_strategy_anonymity(capsys):
     code, report = run_json(
         capsys, "strategy", "--check", "anonymity", "--trials", "20",

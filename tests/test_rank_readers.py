@@ -91,8 +91,9 @@ def test_domination_and_fairness_match_name_level_references():
                 seen["unassigned"] += a[i] is UNASSIGNED
                 seen["off the list"] += r > rank(inst.prefs[i], UNASSIGNED)
         seen["short"] += sum(inst.capacity.values()) < len(inst.students)
-        for target in oracle.efficient_dominations_of(inst, sosm(tie_break(inst, 0))[0]):
-            cliques = outcome(trading.realize_domination, inst, target)
+        baseline = sosm(tie_break(inst, 0))[0]
+        for target in oracle.efficient_dominations_of(inst, baseline):
+            cliques = outcome(trading.realize_domination, inst, baseline, target)
             assert cliques == outcome(reference_realize_domination, inst, target)
             if cliques is not ValueError:   # a seat nobody gives up
                 seen.update(c.kind for c in cliques)
@@ -125,7 +126,7 @@ def test_coalitions_and_clique_kinds_match_name_level_references():
             assert coalitions.accomplice_set(inst, baseline, loops) == want
             seen["accomplices"] += bool(want[0])
         for target in (*oracle.efficient_dominations_of(inst, baseline), ttc(inst)):
-            cliques = trading.realize_domination(inst, target)
+            cliques = trading.realize_domination(inst, baseline, target)
             assert cliques == reference_realize_domination(inst, target)
             if cliques is None:
                 assert not reference_dominates(inst, target, baseline)

@@ -241,8 +241,9 @@ def test_merged_walks_match_parent_references():
         terminals, classes = reference_tadam_enumerate(inst)
         assert enum.terminals == terminals and enum.classes == classes
         seen["null_class"] += any(len(c) > 1 for c in classes)
+        baseline = sosm(tie_break(inst, 0))[0]
         for target in (ttc(tie_break(inst, 0)), *terminals):
-            realized = outcome(trading.realize_domination, inst, target)
+            realized = outcome(trading.realize_domination, inst, baseline, target)
             assert realized == outcome(reference_realize_domination, inst, target)
             seen["not_dominating"] += realized is None
             seen["no_giver"] += realized is ValueError

@@ -5,6 +5,7 @@ import pytest
 
 from schoolmatch import Matching, is_efficient, preference_index, sosm, ttc
 from schoolmatch import oracle, textio, trading
+from schoolmatch.analysis import dominates
 from schoolmatch.errors import CycleLimitExceededError, SearchLimitExceededError
 from schoolmatch.model import Instance, WeakOrder, rank, tie_break
 from schoolmatch.strategy import random_strict_instance
@@ -181,6 +182,29 @@ def varied_strict_instance(rng):
     return Instance(students, schools, capacity, prefs, prios)
 
 
+def first_trading_clique(graph, limit=trading.DEFAULT_CYCLE_LIMIT):
+    """The cycle of ``find_cliques``' first trading clique, as indices, or None."""
+    first = next((c.cycle for c in trading.find_cliques(graph, limit)
+                  if c.kind is trading.CliqueKind.TRADING), None)
+    return first and tuple(map(graph.instance.student_index.__getitem__, first))
+
+
+def enumerating_tadam(instance, policy="canonical", cycle_limit=trading.DEFAULT_CYCLE_LIMIT):
+    """``tadam_run`` as seeded runs, and canonical runs on weak preferences,
+    went before the cycle limit moved into the walk: list every cycle with
+    ``find_cliques`` after each trade, then trade its first trading clique
+    or a seeded random one."""
+    rng = None if policy == "canonical" else random.Random(policy)
+    baseline = sosm(tie_break(instance, 0))[0]
+    graph, index, applied = seat_graph(instance, baseline), instance.student_index, []
+    while found := [c for c in trading.find_cliques(graph, cycle_limit)
+                    if c.kind is trading.CliqueKind.TRADING]:
+        pick = found[0] if rng is None else rng.choice(found)
+        graph.trade(tuple(map(index.__getitem__, pick.cycle)))
+        applied.append(pick)
+    return trading.TadamResult(Matching.of_seats(instance, graph.seat), baseline, tuple(applied))
+
+
 def reference_tadam(instance, policy):
     """The enumerating route of ``tadam_run`` before the seat graph, kept
     as a reference: rebuild, prune and enumerate the student graph with
@@ -219,13 +243,14 @@ def test_canonical_tadam_needs_no_cycle_limit():
 
 
 def test_seeded_policy_and_weak_prefs_enumerate(scp6):
+    """Seeded runs list every cycle, so a limit of 1 stops them; on weak
+    preferences the canonical pick is ``find_cliques``' first trading one."""
     with pytest.raises(CycleLimitExceededError):
         trading.tadam_run(random_strict_instance(random.Random(2), 40, 40), 7, cycle_limit=1)
     with pytest.raises(CycleLimitExceededError):
         trading.tadam_run(scp6, cycle_limit=0)
     graph = trading.SeatGraph(scp6, sosm(tie_break(scp6, 0))[0].seats(scp6))
-    with pytest.raises(ValueError):
-        trading.least_trading_clique(graph)
+    assert trading.least_trading_clique(graph) == first_trading_clique(graph) == (0, 1)
 
 
 def test_tadam_enumerate_scp2(scp2):
@@ -299,20 +324,20 @@ def test_realize_domination_scp3(scp3):
     target = Matching.of(
         {"i1": "s1", "i2": "s2", "i3": "s5", "i4": "s4", "i5": "s3"}, scp3
     )
-    seq = trading.realize_domination(scp3, target)
-    assert {c.cycle for c in seq} == {("i1", "i3"), ("i2", "i4")}
     current, _ = sosm(scp3)
+    seq = trading.realize_domination(scp3, current, target)
+    assert {c.cycle for c in seq} == {("i1", "i3"), ("i2", "i4")}
     for clique in seq:
         current = networkx_route.apply_clique(scp3, current, clique)
     assert current == target
 
 
 def test_realize_domination_identity(scp3):
-    assert trading.realize_domination(scp3, sosm(scp3)[0]) == []
+    assert trading.realize_domination(scp3, sosm(scp3)[0], sosm(scp3)[0]) == []
 
 
 def test_realize_domination_incomparable(scp4):
-    assert trading.realize_domination(scp4, ttc(scp4)) is None
+    assert trading.realize_domination(scp4, sosm(scp4)[0], ttc(scp4)) is None
 
 
 def tied_priority_instance(rng):
@@ -337,12 +362,13 @@ def test_realize_domination_breaks_ties_with_the_given_lottery():
     mismatched = 0
     for _ in range(3000):
         inst = tied_priority_instance(rng)
+        lottery0 = sosm(tie_break(inst, 0))[0]
         for t in (1, 2, 3):
-            outcome = trading.tadam_run(inst, tiebreak=t).matching
-            cliques = trading.realize_domination(inst, outcome, tiebreak=t)
+            result = trading.tadam_run(inst, tiebreak=t)
+            cliques = trading.realize_domination(inst, result.baseline, result.matching)
             assert cliques is not None
             assert all(c.kind is trading.CliqueKind.TRADING for c in cliques)
-            mismatched += trading.realize_domination(inst, outcome) is None
+            mismatched += trading.realize_domination(inst, lottery0, result.matching) is None
     assert mismatched > 1000
 
 
@@ -718,3 +744,115 @@ def test_enumerating_tadam_matches_networkx_reference():
             assert result == reference_tadam(inst, policy)
             applied += len(result.applied)
     assert applied > 200 and weak > 250, (applied, weak)
+
+
+def test_least_trading_clique_on_weak_profiles_is_the_first_trading_clique():
+    """On 2,000 seeded weak instances, at the DA baseline and at a random
+    feasible matching, ``least_trading_clique`` is the first trading clique
+    of ``find_cliques`` as indices, or None, at least 100 times each; and
+    canonical ``tadam_run`` applies the cliques of the enumerating route."""
+    rng = random.Random(40)
+    seen = collections.Counter()
+    for _ in range(2000):
+        inst = small_weak_instance(rng)
+        seen["weak"] += not inst.has_strict_prefs
+        for m in (sosm(tie_break(inst, 0))[0], random_feasible_matching(rng, inst)):
+            graph = seat_graph(inst, m)
+            got = trading.least_trading_clique(graph)
+            assert got == first_trading_clique(graph), (inst, m)
+            seen[got is None] += 1
+        result = trading.tadam_run(inst)
+        assert result == enumerating_tadam(inst)
+        seen["applied"] += len(result.applied)
+    assert min(seen[True], seen[False]) >= 100 and seen["weak"] > 1000, seen
+    assert seen["applied"] > 300, seen
+
+
+def tadam_outcome(run, *args):
+    """``run``'s result, or the error it raised at the cycle limit."""
+    try:
+        return run(*args)
+    except CycleLimitExceededError as err:
+        return err
+
+
+def test_cycle_limit_counts_the_cycles_the_walk_closes():
+    """On 1,500 seeded weak instances at a limit of 0-4: a canonical pick
+    raises, with an empty partial, only if ``find_cliques`` lists more than
+    the limit up to its first trading clique, and exactly then where
+    weight-0 edges leave their group (the walk then closes every cycle).
+    Canonical runs answer as the enumerating route wherever it answers, and
+    elsewhere raise or answer as it does without a limit; seeded runs raise
+    exactly where it does, and otherwise apply the same cliques."""
+    rng = random.Random(41)
+    seen = collections.Counter()
+    for _ in range(1500):
+        inst, limit = small_weak_instance(rng), rng.randint(0, 4)
+        for m in (sosm(tie_break(inst, 0))[0], random_feasible_matching(rng, inst)):
+            graph = seat_graph(inst, m)
+            kinds = [c.kind for c in trading.find_cliques(graph)]
+            closes = kinds.index(trading.CliqueKind.TRADING) + 1 \
+                if trading.CliqueKind.TRADING in kinds else len(kinds)
+            exact = all(w or graph.seat[k] == g
+                        for g, into in enumerate(graph.into) for k, w in into.items())
+            try:
+                assert trading.least_trading_clique(graph, limit) == first_trading_clique(graph)
+                raised = False
+            except CycleLimitExceededError as err:
+                assert err.partial == [] and "cycle_limit" in str(err)
+                raised = True
+            assert raised <= (closes > limit)
+            assert exact or raised == (closes > limit)
+            seen["pick raised"] += raised
+        for policy in ("canonical", rng.randrange(1000)):
+            got = tadam_outcome(trading.tadam_run, inst, policy, limit)
+            want = tadam_outcome(enumerating_tadam, inst, policy, limit)
+            raised = isinstance(got, CycleLimitExceededError)
+            assert not raised or (got.partial == [] and "cycle_limit" in str(got))
+            if isinstance(want, trading.TadamResult):
+                assert got == want
+            elif policy != "canonical":
+                assert raised
+            else:
+                assert raised or got == enumerating_tadam(inst)
+                seen["answers past the enumeration's limit"] += not raised
+            seen[policy == "canonical", "raised"] += raised
+    assert min(seen.values()) >= 100 and len(seen) == 4, seen
+
+
+def weak_square_instance(n):
+    """n students and n schools of one seat, all from ``Random(1)``: each
+    student's shuffled school list cut into indifference classes of 3,
+    then each school's priority a shuffled strict order."""
+    rng = random.Random(1)
+    students = tuple(f"i{k}" for k in range(1, n + 1))
+    schools = tuple(f"s{k}" for k in range(1, n + 1))
+    prefs = {}
+    for i in students:
+        order = list(schools)
+        rng.shuffle(order)
+        prefs[i] = WeakOrder.of(order[k:k + 3] for k in range(0, n, 3))
+    prios = {}
+    for s in schools:
+        order = list(students)
+        rng.shuffle(order)
+        prios[s] = WeakOrder.strict(order)
+    return Instance(students, schools, dict.fromkeys(schools, 1), prefs, prios)
+
+
+def test_canonical_tadam_completes_on_a_weak_25_by_25_instance():
+    """The enumerating route lists more than 10^5 cycles on this instance;
+    the trading walk stops at each first trading cycle, and the run ends in
+    a matching with no trading clique that dominates or equals DA.  One of
+    its picks closes more than 100 cycles, so a limit of 100 stops it."""
+    inst = weak_square_instance(25)
+    with pytest.raises(CycleLimitExceededError, match="cycle_limit") as err:
+        trading.tadam_run(inst, cycle_limit=100)
+    assert err.value.partial == []
+    with pytest.raises(CycleLimitExceededError):
+        enumerating_tadam(inst, cycle_limit=10**5)
+    result = trading.tadam_run(inst, cycle_limit=10**5)
+    assert result.applied
+    assert not trading.has_trading_clique(trading.build_graph(inst, result.matching))
+    assert result.matching == result.baseline or \
+        dominates(inst, result.matching, result.baseline)
