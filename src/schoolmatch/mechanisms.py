@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import count
 from typing import Iterable, Optional, Sequence
 
-from .model import Instance, Matching, UNASSIGNED
+from .model import Instance, Matching
 
 
 @dataclass(frozen=True)
@@ -214,46 +214,45 @@ def ttc(instance: Instance) -> Matching:
     which cycles clear does not change the outcome.  Schools never reopen
     and students only leave, so the pointers into each preference list and
     priority order only move forward: O(n*m) pointer work and O(n) walk
-    steps over a run.
+    steps over a run.  Runs on the instance's :class:`IntView`, reading
+    each strict priority order by name only as far as its pointer goes.
     """
     _require_strict(instance)
-    pref_lists = {i: instance.prefs[i].strict_sequence() for i in instance.students}
-    prio_lists = {s: instance.prios[s].strict_sequence() for s in instance.schools}
-    seats = dict(instance.capacity)
-    student_at = dict.fromkeys(instance.students, 0)
-    school_at = dict.fromkeys(instance.schools, 0)
-    gone: set[str] = set()   # assigned, or no open school left on the list
-    assignment: dict[str, Optional[str]] = {i: UNASSIGNED for i in instance.students}
+    view, index = instance.int_view, instance.student_index
+    lists, seats = view.lists, list(view.seats)
+    orders = [instance.prios[s].items() for s in instance.schools]
+    student_at, school_at = [0] * len(lists), [0] * len(seats)
+    seat = [-1] * len(lists)
+    gone = [False] * len(lists)   # assigned, or no open school left on the list
+    depth = [-1] * len(lists)     # position on the stack, -1 if off it
 
-    for start in instance.students:
-        if start in gone:
+    for start in range(len(lists)):
+        if gone[start]:
             continue
-        stack, depth = [start], {start: 0}   # depth: position on the stack
+        stack, depth[start] = [start], 0
         while stack:
             i = stack[-1]
-            prefs, k = pref_lists[i], student_at[i]
+            prefs, k = lists[i], student_at[i]
             while k < len(prefs) and not seats[prefs[k]]:
                 k += 1
             student_at[i] = k
             if k == len(prefs):   # i stays unassigned: schools never reopen
-                gone.add(i)
-                del depth[stack.pop()]
+                gone[i] = True
+                depth[stack.pop()] = -1
                 continue
             s = prefs[k]
-            prio, k = prio_lists[s], school_at[s]
-            while prio[k] in gone:
+            prio, k = orders[s], school_at[s]
+            while gone[j := index[prio[k]]]:
                 k += 1
-            school_at[s], j = k, prio[k]
-            if j not in depth:
+            school_at[s] = k
+            if depth[j] < 0:
                 depth[j] = len(stack)
                 stack.append(j)
                 continue
             cycle = stack[depth[j]:]   # j -> ... -> i -> j trades
             del stack[depth[j]:]
             for x in cycle:
-                s = pref_lists[x][student_at[x]]
-                assignment[x] = s
+                seat[x] = s = lists[x][student_at[x]]
                 seats[s] -= 1
-                gone.add(x)
-                del depth[x]
-    return Matching.of(assignment, instance)
+                gone[x], depth[x] = True, -1
+    return Matching.of_seats(instance, seat)

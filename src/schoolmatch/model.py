@@ -131,12 +131,8 @@ class Instance:
         return {s: k for k, s in enumerate(self.schools)}
 
     @cached_property
-    def has_strict_prefs(self) -> bool:
-        return all(p.is_strict for p in self.prefs.values())
-
-    @cached_property
     def is_strict(self) -> bool:
-        return self.has_strict_prefs and all(p.is_strict for p in self.prios.values())
+        return all(p.is_strict for p in chain(self.prefs.values(), self.prios.values()))
 
     @cached_property
     def int_view(self) -> IntView:
@@ -157,7 +153,7 @@ class Instance:
     def replace_prefs(self, new_prefs: Mapping[str, PreferenceProfile]) -> "Instance":
         """The instance with some students' profiles replaced.  Views already
         built carry over; only the replaced students' list and row are rebuilt,
-        and the strictness flags carry over if True and every new order is strict."""
+        and the strictness flag carries over if True and every new order is strict."""
         index, built = self.student_index, vars(self)
         named = {s for order in new_prefs.values() for s in order.items()}
         for kind, unknown in (("students", new_prefs.keys() - index.keys()),
@@ -176,8 +172,8 @@ class Instance:
             kept["int_view"] = IntView(rebuilt(view.lists, _index_list), view.prio_rows, view.seats)
         if "pref_rows" in built:
             kept["pref_rows"] = rebuilt(built["pref_rows"], _rank_row)
-        if all(order.is_strict for order in new_prefs.values()):
-            kept.update((k, True) for k in ("has_strict_prefs", "is_strict") if built.get(k))
+        if built.get("is_strict") and all(order.is_strict for order in new_prefs.values()):
+            kept["is_strict"] = True
         return Instance._with_views(self.students, self.schools, dict(self.capacity),
                                     {**self.prefs, **new_prefs}, self.prios, **kept)
 
@@ -268,9 +264,10 @@ def validate(instance: Instance) -> list[str]:
             problems.append(f"capacity must be >= 1 (school {s})")
 
     school_set, student_set = set(schools), set(students)
-    stray = sorted(instance.prefs.keys() - student_set) + sorted(instance.prios.keys() - school_set)
+    stray = sorted(instance.prefs.keys() - student_set) + sorted(
+        (instance.prios.keys() | instance.capacity.keys()) - school_set)
     if stray:
-        problems.append(f"pref or prio entries for undeclared ids: {stray}")
+        problems.append(f"pref, prio or capacity entries for undeclared ids: {stray}")
     for i in students:
         profile = instance.prefs.get(i)
         if profile is None:

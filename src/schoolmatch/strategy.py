@@ -147,7 +147,7 @@ class RandomProblemFamily:
         capacity = self.capacity()
         return Instance._with_views(
             students, schools, capacity, prefs, prios, student_index=i_index,
-            school_index=s_index, has_strict_prefs=report.is_strict, is_strict=report.is_strict,
+            school_index=s_index, is_strict=report.is_strict,
             int_view=IntView(lists, prio_rows, [capacity[s] for s in schools]),
             pref_rows=[_rank_row(prefs[i], s_index, ks) for i, ks in zip(students, lists)])
 

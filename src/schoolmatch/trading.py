@@ -51,7 +51,9 @@ class SeatGraph:
         for k in range(len(seat)):
             self._point(k)
 
-    def _point(self, k: int) -> None:
+    def _point(self, k: int, was: int = 0) -> None:
+        """Point k to the groups she ranks no worse than her own, having
+        pointed to those she ranked no worse than ``was`` (0: to none)."""
         row = self.rows[k]
         own = row[self.seat[k]]
         for r, into in zip(row, self.into):
@@ -59,16 +61,17 @@ class SeatGraph:
                 into[k] = 1
             elif r == own:
                 into[k] = 0
-            elif k in into:
+            elif r <= was:
                 del into[k]
 
     def trade(self, cycle: tuple[int, ...]) -> None:
         """Give each student of ``cycle`` the group of the next, in place."""
-        seat = self.seat
+        seat, rows = self.seat, self.rows
+        was = [rows[k][seat[k]] for k in cycle]
         for k, g in zip(cycle, [seat[k] for k in cycle[1:] + cycle[:1]]):
             seat[k] = g
-        for k in cycle:
-            self._point(k)
+        for k, r in zip(cycle, was):
+            self._point(k, r)
 
 
 def build_graph(instance: Instance, matching: Matching) -> SeatGraph:

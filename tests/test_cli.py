@@ -506,7 +506,7 @@ rich = random_strict_instance(random.Random(6), 10, 10)
 assert trading.find_cliques(trading.SeatGraph(rich, sosm(rich)[0].seats(rich)))
 assert trading.tadam_run(rich, 7).applied
 weak = textio.parse_instance(open({fix("scp6")!r}).read())
-assert not weak.has_strict_prefs and trading.tadam_run(weak).applied
+assert not weak.is_strict and trading.tadam_run(weak).applied
 small = random_strict_instance(random.Random(8), 5, 5)
 assert len(trading.tadam_enumerate(small).terminals) == 2
 assert len(coalitions.enumerate_coalitions(small)) == 3

@@ -67,7 +67,7 @@ def test_rank_rows_follow_the_one_rank_rule():
 
 VIEWS = tuple(name for name, attr in vars(Instance).items() if isinstance(attr, cached_property))
 CARRIED = {"student_index", "school_index", "int_view", "pref_rows"}
-FLAGS = ("has_strict_prefs", "is_strict")   # carried only when True and every new order strict
+FLAGS = ("is_strict",)   # carried only when True and every new order strict
 
 
 def test_replace_prefs_carries_built_views():
@@ -150,6 +150,13 @@ def test_validate_reports_stray_entries(scp1):
                      {**scp1.prios, "s9": scp1.prios["s1"]})
     problems = validate(stray)
     assert len(problems) == 1 and "zz" in problems[0] and "s9" in problems[0]
+
+
+def test_validate_reports_a_capacity_for_an_undeclared_school(scp1):
+    """As the parser rejects a capacity line for an undeclared school."""
+    stray = Instance(scp1.students, scp1.schools, {**scp1.capacity, "zz": 3},
+                     scp1.prefs, scp1.prios)
+    assert validate(stray) == ["pref, prio or capacity entries for undeclared ids: ['zz']"]
 
 
 def test_validate_ok(scp1):

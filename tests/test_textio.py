@@ -377,7 +377,7 @@ def test_parser_hands_over_fresh_views():
                 assert built[name] == getattr(fresh, name), name
             for seed in (0, 1, 7):
                 tie_break(inst, seed)
-            assert vars(inst).keys() - built.keys() <= {"has_strict_prefs", "is_strict"}
+            assert vars(inst).keys() - built.keys() <= {"is_strict"}
             assert all(vars(inst)[name] is built[name] for name in VIEWS)
     assert moved > 100
 

@@ -738,7 +738,7 @@ def test_enumerating_tadam_matches_networkx_reference():
     applied = weak = 0
     for _ in range(400):
         inst = small_weak_instance(rng)
-        weak += not inst.has_strict_prefs
+        weak += not inst.is_strict
         for policy in ("canonical", 7, rng.randrange(1000)):
             result = trading.tadam_run(inst, policy)
             assert result == reference_tadam(inst, policy)
@@ -755,7 +755,7 @@ def test_least_trading_clique_on_weak_profiles_is_the_first_trading_clique():
     seen = collections.Counter()
     for _ in range(2000):
         inst = small_weak_instance(rng)
-        seen["weak"] += not inst.has_strict_prefs
+        seen["weak"] += not inst.is_strict
         for m in (sosm(tie_break(inst, 0))[0], random_feasible_matching(rng, inst)):
             graph = seat_graph(inst, m)
             got = trading.least_trading_clique(graph)
