@@ -46,12 +46,16 @@ def _loop_links(loops: Iterable[tuple[str, ...]]):
 def _check_loops(instance: Instance, seat: list[int], loops) -> None:
     seen: set[str] = set()
     for loop in loops:
+        here: set[str] = set()
         for member in loop:
             if member not in instance.student_index:
                 raise ValueError(f"cabal loop names unknown student {member!r}")
+            if member in here:
+                raise ValueError(f"cabal loop names student {member} twice")
             if member in seen:
                 raise ValueError(f"student {member} appears in two cabal loops")
-            seen.add(member)
+            here.add(member)
+        seen |= here
     index, rows = instance.student_index, instance.pref_rows
     for member, pred, _ in _loop_links(loops):
         row = rows[index[member]]

@@ -13,7 +13,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import Iterable, Mapping, Optional
 
 UNASSIGNED = None
@@ -136,10 +136,10 @@ class Instance:
 
     @cached_property
     def int_view(self) -> IntView:
-        index = self.school_index
+        index, ranks = self.school_index, _ranks(self.prios.values())
         return IntView(
             [_index_list(self.prefs[i], index) for i in self.students],
-            [_rank_row(self.prios[s], self.student_index) for s in self.schools],
+            [_rank_row(self.prios[s], self.student_index, None, ranks) for s in self.schools],
             [self.capacity[s] for s in self.schools],
         )
 
@@ -148,7 +148,9 @@ class Instance:
         """Student k's rank of each school j, then of unassigned (seat -1)."""
         view = vars(self).get("int_view")   # its lists spare the name lookups
         ks = view.lists if view is not None else repeat(None)
-        return [_rank_row(self.prefs[i], self.school_index, k) for i, k in zip(self.students, ks)]
+        ranks = _ranks(self.prefs.values())
+        return [_rank_row(self.prefs[i], self.school_index, k, ranks)
+                for i, k in zip(self.students, ks)]
 
     def replace_prefs(self, new_prefs: Mapping[str, PreferenceProfile]) -> "Instance":
         """The instance with some students' profiles replaced.  Views already
@@ -183,20 +185,26 @@ def _index_list(order: WeakOrder, index: Mapping[str, int]) -> tuple[int, ...]:
     return tuple(map(index.__getitem__, order.items()))
 
 
-def _rank_row(order: WeakOrder, index: Mapping[str, int], ks=None) -> list[int]:
-    """:func:`rank` of each item by index, unassigned last.  A strict order fills
-    it in one pass over its item indices (``ks``, if known), a weak one class
-    by class."""
-    strict = order.is_strict
-    n = len(order.items() if strict else order.classes)
-    row = [n + 2] * len(index) + [n + 1]
-    if strict:
-        for r, k in enumerate(map(index.__getitem__, order.items()) if ks is None else ks, 1):
-            row[k] = r
+def _ranks(orders: Iterable[WeakOrder]) -> list[int]:
+    """One ``int`` object per rank, as many as the longest of ``orders`` needs."""
+    return list(range(1, max(map(len, map(WeakOrder.items, orders)), default=0) + 1))
+
+
+def _rank_row(order: WeakOrder, index: Mapping[str, int], ks=None, ranks=None) -> list[int]:
+    """:func:`rank` of each item by index, unassigned last, filled in one pass
+    over the item indices (``ks``, if known).  Rank r is the object
+    ``ranks[r - 1]`` when a rank list is given, so rows built from one list
+    make no int per entry."""
+    if ks is None:
+        ks = map(index.__getitem__, order.items())
+    if order.is_strict:
+        n, pairs = len(order.items()), enumerate(ks, 1) if ranks is None else zip(ranks, ks)
     else:
-        for r, cl in enumerate(order.classes, 1):
-            for k in map(index.__getitem__, cl):
-                row[k] = r
+        n, ranks = len(order.classes), count(1) if ranks is None else ranks
+        pairs = zip(chain.from_iterable(map(repeat, ranks, map(len, order.classes))), ks)
+    row = [n + 2] * len(index) + [n + 1]
+    for r, k in pairs:
+        row[k] = r
     return row
 
 
@@ -318,21 +326,23 @@ def tie_break(instance: Instance, seed: int) -> Instance:
     Seed 0 means canonical (declaration-order) refinement; any other seed
     applies a seeded pseudorandom permutation within each class.  Strict
     instances, and strict orders within an instance, come back as the same
-    objects; they consume no random draws.  Runs on the rank rows, and the
-    result comes with its integer views built, sharing strict orders' rows.
+    objects; they consume no random draws.  Runs on the rank rows of the weak
+    orders only, and the result comes with its integer views built, sharing
+    strict orders' rows; every index and rank in the new rows is an object of
+    one list built per call.
     """
     if instance.is_strict:
         return instance
     rng = random.Random(seed) if seed != 0 else None
     students, schools, view = instance.students, instance.schools, instance.int_view
     i_index, s_index = instance.student_index, instance.school_index
+    ints = list(range(max(len(students), len(schools)) + 1))
+    ranks = ints[1:]
 
     def refine(order: WeakOrder, row: list[int], names: tuple[str, ...], index: dict[str, int]):
         """``order`` refined, its item indices and its rank row, from its own ``row``."""
-        if order.is_strict:
-            return order, (), row
         buckets: list[list[int]] = [[] for _ in range(len(order.classes) + 2)]
-        for k, r in enumerate(row):   # by class rank, in ascending index
+        for k, r in zip(ints, row):   # by class rank, in ascending index
             buckets[r - 1].append(k)
         out: list[int] = []
         for members in buckets[:-2]:   # the classes, not unassigned or off the list
@@ -340,15 +350,17 @@ def tie_break(instance: Instance, seed: int) -> Instance:
                 _shuffle(rng, members)
             out += members
         refined = WeakOrder.strict(map(names.__getitem__, out))
-        return refined, tuple(out), _rank_row(refined, index, out)
+        return refined, tuple(out), _rank_row(refined, index, out, ranks)
 
-    prefs, lists, pref_rows = {}, list(view.lists), list(instance.pref_rows)
+    prefs = {i: instance.prefs[i] for i in students}
+    lists, pref_rows = list(view.lists), list(instance.pref_rows)
     for k, i in enumerate(students):
-        prefs[i], out, pref_rows[k] = refine(instance.prefs[i], pref_rows[k], schools, s_index)
-        lists[k] = out or lists[k]   # () when strict, or when the order has no items
-    prios, prio_rows = {}, list(view.prio_rows)
+        if not prefs[i].is_strict:
+            prefs[i], lists[k], pref_rows[k] = refine(prefs[i], pref_rows[k], schools, s_index)
+    prios, prio_rows = {s: instance.prios[s] for s in schools}, list(view.prio_rows)
     for j, s in enumerate(schools):
-        prios[s], _, prio_rows[j] = refine(instance.prios[s], prio_rows[j], students, i_index)
+        if not prios[s].is_strict:
+            prios[s], _, prio_rows[j] = refine(prios[s], prio_rows[j], students, i_index)
     return Instance._with_views(students, schools, dict(instance.capacity), prefs, prios,
                                 student_index=i_index, school_index=s_index, pref_rows=pref_rows,
                                 int_view=IntView(lists, prio_rows, view.seats))

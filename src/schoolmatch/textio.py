@@ -10,16 +10,20 @@ Grammar (comments ``#`` and blank lines ignored)::
 
 Matching files are ``student school`` lines, ``-`` for unassigned.
 
-:func:`parse_instance` hands over the integer views it builds while it checks
-the instance on indices; :func:`~schoolmatch.model.validate` words a fault.
+:func:`parse_instance` looks each ranked id up once, as its line is read: the
+order keeps the declared id object, and the index found builds the integer
+views it hands over and checks the instance on; :func:`~schoolmatch.model.validate`
+words a fault.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional
 
 from .errors import ParseError
-from .model import Instance, Matching, UNASSIGNED, WeakOrder, validate
+from .model import (Instance, IntView, Matching, UNASSIGNED, WeakOrder, _index_list, _rank_row,
+                    _ranks, validate)
 
 
 def _parse_order(text: str, lineno: int) -> WeakOrder:
@@ -45,12 +49,29 @@ def _parse_order(text: str, lineno: int) -> WeakOrder:
     return order
 
 
+def _declared(order: WeakOrder, names: list[str], index: dict[str, int]):
+    """``order`` on the declared id objects, and its item indices: one lookup
+    per item.  An order naming an id not declared yet keeps its own objects,
+    and its indices are looked up once the file is read."""
+    try:
+        ks = _index_list(order, index)
+    except KeyError:
+        return order, None
+    items = map(names.__getitem__, ks)
+    if order.is_strict:
+        return WeakOrder.strict(items), ks
+    return WeakOrder(tuple(tuple(islice(items, len(cl))) for cl in order.classes)), ks
+
+
 def parse_instance(text: str) -> Instance:
     students: list[str] = []
     schools: list[str] = []
+    # each kind's ids and the place of each id declared so far (a repeat's last)
+    declared = {"students": (students, {}), "schools": (schools, {})}
     capacity: dict[str, int] = {}
     prefs: dict[str, WeakOrder] = {}
     prios: dict[str, WeakOrder] = {}
+    found: dict[str, dict] = {"pref": {}, "prio": {}}   # each order's item indices, or None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -58,10 +79,11 @@ def parse_instance(text: str) -> Instance:
             continue
         keyword, *rest = line.split(None, 1)
         rest = "".join(rest)
-        if keyword == "students":
-            students.extend(rest.split())
-        elif keyword == "schools":
-            schools.extend(rest.split())
+        if keyword in declared:
+            names, index = declared[keyword]
+            ids = rest.split()
+            index.update(zip(ids, range(len(names), len(names) + len(ids))))
+            names.extend(ids)
         elif keyword == "capacity":
             parts = rest.split()
             if len(parts) != 2:
@@ -77,10 +99,11 @@ def parse_instance(text: str) -> Instance:
             owner = owner.strip()
             if not sep or not owner:
                 raise ParseError(f"expected: {keyword} <id>: a > b = c", lineno)
-            target = prefs if keyword == "pref" else prios
+            target, ranked = (prefs, "schools") if keyword == "pref" else (prios, "students")
             if owner in target:
                 raise ParseError(f"duplicate {keyword} line for {owner}", lineno)
-            target[owner] = _parse_order(ranking, lineno)
+            order = _parse_order(ranking, lineno)
+            target[owner], found[keyword][owner] = _declared(order, *declared[ranked])
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno)
 
@@ -93,26 +116,41 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(f"pref, prio or capacity lines for undeclared ids {undeclared}")
     for s in schools:
         capacity.setdefault(s, 1)
-    instance = Instance(tuple(students), tuple(schools), capacity, prefs, prios)
-    if not _valid(instance):
+    instance = Instance._with_views(tuple(students), tuple(schools), capacity, prefs, prios,
+                                    student_index=declared["students"][1],
+                                    school_index=declared["schools"][1])
+    if not _valid(instance, found):
         raise ParseError("invalid instance: " + "; ".join(validate(instance)))
     return instance
 
 
-def _valid(inst: Instance) -> bool:
-    """``not validate(inst)``, checked as the integer views get built.  A parsed
-    order has no empty class: it is whole if it has one item per index, all ranked."""
-    ids = inst.student_index.keys() | inst.school_index.keys()   # fewer if any id repeats
-    if len(ids) < len(inst.students) + len(inst.schools):
-        return False
+def _valid(inst: Instance, found: dict[str, dict]) -> bool:
+    """``not validate(inst)``, checked on indices while ``inst``'s integer
+    views get built from the item indices ``found`` as each line was read (an
+    order read before its ids were declared is looked up now), every rank an
+    object of one list.  A parsed order has no empty class: it is whole if it
+    has one item per index, all ranked."""
+    students, schools = inst.students, inst.schools
+    if len(inst.student_index.keys() | inst.school_index.keys()) < len(students) + len(schools):
+        return False   # some id repeats
     try:   # a missing order or an unknown id
-        rows = inst.int_view.prio_rows + inst.pref_rows
+        lists = [found["pref"][i] or _index_list(inst.prefs[i], inst.school_index)
+                 for i in students]
+        prio_ks = [found["prio"][s] or _index_list(inst.prios[s], inst.student_index)
+                   for s in schools]
     except KeyError:
         return False
-    orders = [*map(inst.prios.get, inst.schools), *map(inst.prefs.get, inst.students)]
+    ranks = _ranks([*inst.prefs.values(), *inst.prios.values()])
+    rows = [_rank_row(inst.prios[s], inst.student_index, ks, ranks)
+            for s, ks in zip(schools, prio_ks)]
+    pref_rows = [_rank_row(inst.prefs[i], inst.school_index, ks, ranks)
+                 for i, ks in zip(students, lists)]
+    vars(inst).update(int_view=IntView(lists, rows, [inst.capacity[s] for s in schools]),
+                      pref_rows=pref_rows)
+    orders = [*map(inst.prios.get, schools), *map(inst.prefs.get, students)]
     return min(inst.int_view.seats) >= 1 and all(
         len(order.items()) == len(row) - 1 and row[-1] + 1 not in row
-        for order, row in zip(orders, rows))
+        for order, row in zip(orders, rows + pref_rows))
 
 
 def _format_order(order: WeakOrder) -> str:

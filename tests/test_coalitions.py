@@ -4,9 +4,11 @@ import pytest
 
 from schoolmatch import Matching, preference_index, sosm, ttc, dominates
 from schoolmatch import coalitions
+from schoolmatch.cli import main
 from schoolmatch.errors import InstanceTooLargeError
 from schoolmatch.mechanisms import eadam
 from schoolmatch.strategy import random_strict_instance
+from conftest import FIXTURES
 
 
 def test_accomplice_set_scp2(scp2):
@@ -43,6 +45,25 @@ def test_invalid_cabal_loop_rejected(scp2):
         # i5 does not strictly prefer i1's baseline school s5... she does;
         # use a loop where i1 receives i5's s3, which i1 ranks below s5.
         coalitions.accomplice_set(scp2, baseline, (("i5", "i1"),))
+
+
+@pytest.mark.parametrize("lines, error", [
+    (["loop i1 i1"], "cabal loop names student i1 twice"),
+    (["loop i1 i2 i1"], "cabal loop names student i1 twice"),
+    (["loop i1 i2", "loop i4 i2"], "student i2 appears in two cabal loops"),
+])
+def test_repeated_loop_member_messages(scp2, tmp_path, capsys, lines, error):
+    """A student named twice in one loop and a student in two loops each
+    get their own one-line error, through the API and the CLI alike."""
+    baseline, _ = sosm(scp2)
+    with pytest.raises(ValueError) as err:
+        coalitions.accomplice_set(scp2, baseline, tuple(tuple(line.split()[1:]) for line in lines))
+    assert str(err.value) == error
+    path = tmp_path / "coalition.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    argv = ["solve", "--mechanism", "cim", "--coalition", str(path), str(FIXTURES / "scp2.txt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_falsified_profile_scp2(scp2):

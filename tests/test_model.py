@@ -43,10 +43,15 @@ def test_integer_rows_follow_rank_map():
             [rank(inst.prefs[i], s) for s in (*schools, UNASSIGNED)] for i in students]
 
 
+class _Rank(int):
+    """An int that is its own object at every value, so a test can tell a
+    shared rank from an equal one."""
+
+
 def test_rank_rows_follow_the_one_rank_rule():
-    """A rank row, built with or without its items' indices, holds each
-    item's :func:`rank` and then unassigned's, on strict, weak and
-    truncated orders."""
+    """A rank row, built with or without its items' indices or a shared rank
+    list, holds each item's :func:`rank` and then unassigned's, on strict,
+    weak and truncated orders; with a rank list, each rank is its object."""
     rng = random.Random(18)
     kinds = set()
     for _ in range(2000):
@@ -62,6 +67,10 @@ def test_rank_rows_follow_the_one_rank_rule():
         want = [rank(order, x) for x in index] + [rank(order, None)]
         assert _rank_row(order, index) == want
         assert _rank_row(order, index, _index_list(order, index)) == want
+        ranks = [_Rank(r) for r in range(1, len(names) + 1)]
+        shared = _rank_row(order, index, None, ranks)
+        assert shared == want
+        assert all(shared[k] is ranks[shared[k] - 1] for k in _index_list(order, index))
     assert len(kinds) == 4
 
 
