@@ -148,7 +148,7 @@ def _cmd_solve(args, out) -> int:
             {"student": p.student, "school": p.school, "step": p.rejection_step}
             for rnd in result.removals for p in rnd
         ]
-        extra["rounds"] = len(result.traces)
+        extra["rounds"] = len(result.removals) + 1
     elif args.mechanism == "tadam":
         from . import trading
         result = trading.tadam_run(instance, _parse_policy(args.policy), tiebreak=args.tiebreak or 0)

@@ -230,10 +230,8 @@ def eadam_as_coalition(instance: Instance, consenters: Iterable[str]) -> Coaliti
     # Seat cycles read "receives the next one's seat"; loops read
     # "receives from the previous member", i.e. reversed.
     loops = tuple(tuple(reversed(c)) for c in trading.seat_cycles(baseline, target))
-    accomplices = tuple(
-        i for i in instance.students
-        if any(p.student == i for rnd in result.removals for p in rnd)
-    )
+    removed = {p.student for rnd in result.removals for p in rnd}
+    accomplices = tuple(i for i in instance.students if i in removed)
     links = list(_loop_links(loops))
     seat = baseline.seats(instance)
     displaced = {i: _displaced(instance, seat, links, i) for i in accomplices}

@@ -1,7 +1,9 @@
 """Student-proposing deferred acceptance, the efficiency-adjusted rerun
 loop driven by interrupter removal, top trading cycles, and trace-derived
-interrupter / hopeless-student extraction.  :func:`sosm` and each
-:func:`eadam` round record DA's step trace; the TADAM baseline records none.
+interrupter / hopeless-student extraction.  One DA loop yields its
+proposal waves: :func:`sosm` records them as its trace, each :func:`eadam`
+round hands them as they happen to the one interrupter rule and keeps only
+its removals, and the TADAM baseline records none.
 
 All three mechanisms require strict preference profiles and priority
 structures; break ties first (:func:`schoolmatch.model.tie_break`).
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import Instance, Matching
 
@@ -62,17 +64,17 @@ def _require_strict(instance: Instance) -> None:
         raise ValueError("mechanism requires a strict instance; run tie_break first")
 
 
-def _deferred_acceptance(
-    instance: Instance, lists: Sequence[Sequence[int]], traced: bool = True
-) -> tuple[list[int], Optional[DaTrace]]:
-    """DA on school-index ``lists`` with the instance's priorities and
-    seats: the seat vector (-1 for unassigned) and the trace that
-    :func:`sosm` and :func:`eadam` read.  The TADAM baseline runs it
-    untraced, for None: strict priorities give the same seats."""
+def _waves(instance: Instance, lists: Sequence[Sequence[int]], seat: list[int],
+           traced: bool = True) -> Iterator[tuple[list[int], dict, dict, dict]]:
+    """The one DA loop, on school-index ``lists`` with the instance's
+    priorities and seats: yields each wave of a :class:`DaTrace` as it
+    closes (holds by priority only where the school rejected), then
+    writes each student's school (-1 for unassigned) into ``seat``.
+    Untraced it yields nothing and the next wave's proposers stay
+    unsorted: strict priorities give the same seats."""
     prio, seats = instance.int_view.prio_rows, instance.int_view.seats
     pointer = [0] * len(lists)   # next list index to propose to
     held: list[list[int]] = [[] for _ in seats]
-    waves = []
     proposers = [k for k, order in enumerate(lists) if order]
     while proposers:
         proposals: dict[int, list[int]] = {}
@@ -81,25 +83,38 @@ def _deferred_acceptance(
         holds, rejections, rejected = {}, {}, []
         for j, newcomers in proposals.items():
             pool = held[j] + newcomers
-            if traced or len(pool) > seats[j]:   # a trace lists holds by priority
+            if len(pool) > seats[j]:
                 pool.sort(key=prio[j].__getitem__)
-                if len(pool) > seats[j]:
-                    rejections[j] = sorted(pool[seats[j]:])
-                    rejected += rejections[j]
-                    del pool[seats[j]:]
+                rejections[j] = sorted(pool[seats[j]:])
+                rejected += rejections[j]
+                del pool[seats[j]:]
             held[j] = holds[j] = pool
         if traced:
-            waves.append((proposers, proposals, holds, rejections))
+            yield proposers, proposals, holds, rejections
             rejected.sort()   # the next wave's proposers in index order
         for k in rejected:
             pointer[k] += 1
         proposers = [k for k in rejected if pointer[k] < len(lists[k])]
-
-    seat = [-1] * len(lists)
     for j, ks in enumerate(held):
         for k in ks:
             seat[k] = j
-    return seat, DaTrace(instance.students, instance.schools, tuple(waves)) if traced else None
+
+
+def _deferred_acceptance(
+    instance: Instance, lists: Sequence[Sequence[int]], traced: bool = True
+) -> tuple[list[int], Optional[DaTrace]]:
+    """DA on school-index ``lists``: the seat vector and the trace that
+    :func:`sosm` and :attr:`EadamResult.traces` read.  The TADAM baseline
+    runs it untraced, for None."""
+    seat = [-1] * len(lists)
+    waves = tuple(_waves(instance, lists, seat, traced))
+    if not traced:
+        return seat, None
+    prio = instance.int_view.prio_rows
+    for _, _, holds, _ in waves:   # a trace lists holds by priority; no later wave edits them
+        for j, pool in holds.items():
+            pool.sort(key=prio[j].__getitem__)
+    return seat, DaTrace(instance.students, instance.schools, waves)
 
 
 def sosm(instance: Instance) -> tuple[Matching, DaTrace]:
@@ -117,6 +132,26 @@ def sosm(instance: Instance) -> tuple[Matching, DaTrace]:
     return Matching.of_seats(instance, seat), trace
 
 
+def _interrupting(waves: Iterable[tuple], n: int, m: int) -> list[tuple[int, int, int, int]]:
+    """The one interrupter rule of :func:`interrupters`, read off DA's
+    waves as they come, for n students and m schools: sorted (rejection
+    step, place of her last proposal among all proposals, student,
+    school) index tuples."""
+    since = [0] * n   # step of k's last proposal
+    order = [0] * n   # its place among all proposals
+    last_rejection = [0] * m
+    pairs, proposed = [], count()
+    for t, (_, proposals, _, rejections) in enumerate(waves, start=1):
+        for newcomers in proposals.values():
+            for k in newcomers:
+                since[k], order[k] = t, next(proposed)
+        for j, rejected in rejections.items():
+            pairs += [(t, order[k], k, j) for k in rejected if since[k] <= last_rejection[j]]
+            last_rejection[j] = t
+    pairs.sort()
+    return pairs
+
+
 def interrupters(trace: DaTrace) -> list[InterrupterPair]:
     """All interrupting pairs of a deferred-acceptance trace.
 
@@ -126,19 +161,9 @@ def interrupters(trace: DaTrace) -> list[InterrupterPair]:
     last proposed to and proposes to each school once, so that is: the
     school's last rejection before t' came no earlier than her proposal.
     """
-    since = [0] * len(trace.students)   # step of k's last proposal
-    order = [0] * len(trace.students)   # its place among all proposals
-    last_rejection = [0] * len(trace.schools)
-    pairs, proposed = [], count()
-    for t, (_, proposals, _, rejections) in enumerate(trace.waves, start=1):
-        for newcomers in proposals.values():
-            for k in newcomers:
-                since[k], order[k] = t, next(proposed)
-        for j, rejected in rejections.items():
-            pairs += [(t, order[k], k, j) for k in rejected if since[k] <= last_rejection[j]]
-            last_rejection[j] = t
-    pairs.sort()
-    return [InterrupterPair(trace.students[k], trace.schools[j], t) for t, _, k, j in pairs]
+    students, schools = trace.students, trace.schools
+    return [InterrupterPair(students[k], schools[j], t)
+            for t, _, k, j in _interrupting(trace.waves, len(students), len(schools))]
 
 
 def hopeless_students(trace: DaTrace) -> frozenset[str]:
@@ -155,11 +180,33 @@ def hopeless_students(trace: DaTrace) -> frozenset[str]:
     return frozenset(map(trace.students.__getitem__, trace.waves[-1][0]))   # its proposers
 
 
+def _strike(instance: Instance, lists: list, pairs: Iterable[InterrupterPair]) -> None:
+    """Remove each pair's school from its student's index list."""
+    for p in pairs:
+        k, j = instance.student_index[p.student], instance.school_index[p.school]
+        lists[k] = tuple(x for x in lists[k] if x != j)
+
+
 @dataclass(frozen=True)
 class EadamResult:
+    """The outcome and the pairs each round removed.  :attr:`traces`
+    replays the rounds on first read: DA on the instance's lists, then on
+    each round's lists minus its removals.  DA is deterministic, so these
+    are the traces of the run."""
+
     matching: Matching
     removals: tuple[tuple[InterrupterPair, ...], ...]  # per round, pairs removed
-    traces: tuple[DaTrace, ...]                        # one DA trace per round
+    instance: Instance = field(repr=False, compare=False)
+
+    @cached_property
+    def traces(self) -> tuple[DaTrace, ...]:
+        """One DA trace per round, the last round's (which removes nothing) too."""
+        lists = list(self.instance.int_view.lists)
+        traces = [_deferred_acceptance(self.instance, lists)[1]]
+        for doomed in self.removals:
+            _strike(self.instance, lists, doomed)
+            traces.append(_deferred_acceptance(self.instance, lists)[1])
+        return tuple(traces)
 
     @property
     def removal_sequence(self) -> tuple[tuple[str, str], ...]:
@@ -172,7 +219,8 @@ def eadam(instance: Instance, consenters: Iterable[str]) -> EadamResult:
     Each round reruns DA, finds the last step at which a consenting
     interrupter is rejected from its interrupted school, and removes
     exactly the interrupted school(s) of that step's consenting pairs from
-    those students' lists.  Stops when no consenting pair remains.
+    those students' lists.  Stops when no consenting pair remains.  A
+    round keeps only its removals; :attr:`EadamResult.traces` replays it.
     Raises ``ValueError`` if a consenter is not a student of the instance.
     """
     _require_strict(instance)
@@ -180,21 +228,19 @@ def eadam(instance: Instance, consenters: Iterable[str]) -> EadamResult:
     unknown = sorted(consent.difference(instance.students))
     if unknown:
         raise ValueError(f"consenters are not students of the instance: {unknown}")
+    students, schools = instance.students, instance.schools
     lists = list(instance.int_view.lists)   # a removal edits one student's list
     removals: list[tuple[InterrupterPair, ...]] = []
-    traces: list[DaTrace] = []
     while True:
-        seat, trace = _deferred_acceptance(instance, lists)
-        traces.append(trace)
-        consenting = [p for p in interrupters(trace) if p.student in consent]
+        seat = [-1] * len(lists)
+        pairs = _interrupting(_waves(instance, lists, seat), len(students), len(schools))
+        consenting = [(t, k, j) for t, _, k, j in pairs if students[k] in consent]
         if not consenting:
-            return EadamResult(Matching.of_seats(instance, seat), tuple(removals), tuple(traces))
-        last_step = consenting[-1].rejection_step
-        doomed = tuple(p for p in consenting if p.rejection_step == last_step)
-        removals.append(doomed)
-        for p in doomed:
-            k, j = instance.student_index[p.student], instance.school_index[p.school]
-            lists[k] = tuple(x for x in lists[k] if x != j)
+            return EadamResult(Matching.of_seats(instance, seat), tuple(removals), instance)
+        last_step = consenting[-1][0]
+        removals.append(doomed := tuple(InterrupterPair(students[k], schools[j], t)
+                                        for t, k, j in consenting if t == last_step))
+        _strike(instance, lists, doomed)
 
 
 def ttc(instance: Instance) -> Matching:

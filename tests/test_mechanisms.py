@@ -1,6 +1,8 @@
 import collections
 import functools
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -303,6 +305,13 @@ def rescanning_eadam(inst, consent):
             [s for s in inst.prefs[p.student].items() if s != p.school]) for p in removals[-1]})
 
 
+def last_step_pairs(trace, consent):
+    """The consenting pairs of ``interrupters(trace)`` rejected at the last
+    step that rejects one: what an EADAM round on that trace removes."""
+    pairs = [p for p in interrupters(trace) if p.student in consent]
+    return tuple(p for p in pairs if p.rejection_step == pairs[-1].rejection_step)
+
+
 def coarse_instance(rng, students=(2, 10), schools=(1, 6), max_capacity=3, truncate=0.25):
     """Strict preferences, a share ``truncate`` of them truncated (some to
     nothing); capacities 1 to ``max_capacity``, often fewer seats than
@@ -349,10 +358,30 @@ def test_pointer_loops_match_rescanning_references():
         result = eadam(inst, consent)
         assert (result.matching, result.removals, tuple(t.steps for t in result.traces)) \
             == rescanning_eadam(inst, consent)
+        assert len(result.traces) == len(result.removals) + 1
+        assert tuple(last_step_pairs(t, consent) for t in result.traces) == result.removals + ((),)
         short += sum(inst.capacity.values()) < len(inst.students)
         truncated += any(len(inst.prefs[i].classes) < len(inst.schools) for i in inst.students)
         removed += bool(result.removals)
     assert short > 600 and truncated > 1200 and removed > 250
+
+
+def test_eadam_result_keeps_no_trace():
+    """All-consent EADAM on a strict 400 x 400 instance keeps its matching
+    and removals, at most 1 KB per student once its garbage is collected,
+    and builds no trace until ``traces`` is read."""
+    inst = random_strict_instance(random.Random(1), 400, 400)
+    inst.int_view, inst.student_index, inst.school_index, inst.is_strict   # built first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = eadam(inst, inst.students)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1024 * len(inst.students), kept
+    assert "traces" not in vars(result) and len(result.removals) > 50
 
 
 def simplified_eadam(inst):
