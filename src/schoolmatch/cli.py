@@ -350,6 +350,9 @@ def _cmd_strategy(args, out) -> int:
     # Each mechanism's sweep checks the FILE once, or the next --trials draws of one stream.
     if args.file is not None:
         instances = [textio.parse_instance(Path(args.file).read_text())]
+        if not instances[0].is_strict:
+            raise SchoolMatchError(f"--check {args.check} needs a strict FILE; "
+                                   f"{args.file} has ties")
         if args.check == "same-class" and set(family.schools) != set(instances[0].schools):
             raise SchoolMatchError(f"--family {spec} partitions schools {' '.join(family.schools)}, "
                                    f"not the FILE's {' '.join(instances[0].schools)}")

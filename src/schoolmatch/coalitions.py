@@ -186,23 +186,9 @@ def enumerate_coalitions(
     # convention is "receives from the previous member", i.e. reversed.
     loops = [tuple(reversed(c)) for c in cycles]
 
-    families: list[tuple[tuple[str, ...], ...]] = []
-
-    def extend(start: int, chosen: list[tuple[str, ...]], used: set[str]) -> None:
-        families.append(tuple(chosen))
-        for idx in range(start, len(loops)):
-            members = set(loops[idx])
-            if used & members:
-                continue
-            chosen.append(loops[idx])
-            extend(idx + 1, chosen, used | members)
-            chosen.pop()
-
-    extend(0, [], set())
-
     outcomes: list[CoalitionOutcome] = []
     seen: set[Matching] = set()
-    for family in families:
+    for family in _families(loops, 0, (), set()):
         schools = [baseline[m] for loop in family for m in loop]
         if len(schools) != len(set(schools)):
             continue  # multi-seat cabal collision
@@ -213,6 +199,15 @@ def enumerate_coalitions(
         seen.add(matching)
         outcomes.append(CoalitionOutcome(coalition, matching, verified))
     return outcomes
+
+
+def _families(loops, start, chosen, used):
+    """``chosen``, then each family that adds vertex-disjoint loops from
+    ``loops[start:]`` to it, none sharing a member with ``used``."""
+    yield chosen
+    for idx in range(start, len(loops)):
+        if used.isdisjoint(loops[idx]):
+            yield from _families(loops, idx + 1, chosen + (loops[idx],), used.union(loops[idx]))
 
 
 def eadam_as_coalition(instance: Instance, consenters: Iterable[str]) -> Coalition:

@@ -44,20 +44,21 @@ def _seat_vectors(
 ) -> Iterator[tuple[int, ...]]:
     """Every tuple that gives student k a seat from ``allowed[k]`` and fills
     no school j past ``seats[j]``, in the order of ``allowed``."""
-    last = len(allowed) - 1
     free = [*seats, len(allowed)]   # free[-1]: room for every unassigned
+    return _extend(allowed, free, 0, ()) if allowed else iter(((),))
 
-    def extend(k: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if k == last:
-            yield from (prefix + (j,) for j in allowed[k] if free[j])
-            return
-        for j in allowed[k]:
-            if free[j]:
-                free[j] -= 1
-                yield from extend(k + 1, prefix + (j,))
-                free[j] += 1
 
-    return extend(0, ()) if allowed else iter(((),))
+def _extend(allowed, free, k, prefix):
+    """The vectors of :func:`_seat_vectors` that begin with ``prefix``,
+    seating students k onward in the seats ``free`` still counts."""
+    if k == len(allowed) - 1:
+        yield from (prefix + (j,) for j in allowed[k] if free[j])
+        return
+    for j in allowed[k]:
+        if free[j]:
+            free[j] -= 1
+            yield from _extend(allowed, free, k + 1, prefix + (j,))
+            free[j] += 1
 
 
 def enumerate_matchings(

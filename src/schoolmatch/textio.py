@@ -10,68 +10,56 @@ Grammar (comments ``#`` and blank lines ignored)::
 
 Matching files are ``student school`` lines, ``-`` for unassigned.
 
-:func:`parse_instance` looks each ranked id up once, as its line is read: the
-order keeps the declared id object, and the index found builds the integer
-views it hands over and checks the instance on; :func:`~schoolmatch.model.validate`
-words a fault.
+:func:`parse_instance` reads every id through one table per file, so the
+first object seen for an id is the one each later mention holds, declared or
+ranked; the parsed instance builds its integer views as any instance does,
+and is checked on them; :func:`~schoolmatch.model.validate` words a fault.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+import re
 from typing import Optional
 
 from .errors import ParseError
-from .model import (Instance, IntView, Matching, UNASSIGNED, WeakOrder, _index_list, _rank_row,
-                    _ranks, validate)
+from .model import Instance, Matching, UNASSIGNED, WeakOrder, validate
 
 
-def _parse_order(text: str, lineno: int) -> WeakOrder:
+def _parse_order(text: str, lineno: int, ids: dict[str, str]) -> WeakOrder:
     """Split on whitespace where the tokens alternate id and separator and
     every ``>`` (every ``=`` of a ``>``-chunk) is a token of its own; any
     other ranking or chunk is split on the separators and stripped, the only
-    route that words an empty id or keeps an odd one, such as ``s1 s2``."""
+    route that words an empty id or keeps an odd one, such as ``s1 s2``.
+    Every id is read through ``ids``, the parse's table of one object per id."""
     if "=" not in text:
         toks = text.split()
         seps = toks[1::2]
         if len(toks) % 2 and seps.count(">") == len(seps) == text.count(">"):
-            return WeakOrder.strict(toks[::2])
-        order = WeakOrder.strict(map(str.strip, text.split(">")))
+            names = toks[::2]
+            return WeakOrder.strict(map(ids.setdefault, names, names))
+        names = [*map(str.strip, text.split(">"))]
+        order = WeakOrder.strict(map(ids.setdefault, names, names))
     else:
         classes = []
         for chunk in text.split(">"):
             toks = chunk.split()
             whole = len(toks) % 2 and toks[1::2].count("=") == len(toks) // 2 == chunk.count("=")
-            classes.append(tuple(toks[::2]) if whole else tuple(map(str.strip, chunk.split("="))))
+            names = toks[::2] if whole else [*map(str.strip, chunk.split("="))]
+            classes.append(tuple(map(ids.setdefault, names, names)))
         order = WeakOrder(tuple(classes))
     if "" in order.items():
         raise ParseError("empty id in ranking", lineno)
     return order
 
 
-def _declared(order: WeakOrder, names: list[str], index: dict[str, int]):
-    """``order`` on the declared id objects, and its item indices: one lookup
-    per item.  An order naming an id not declared yet keeps its own objects,
-    and its indices are looked up once the file is read."""
-    try:
-        ks = _index_list(order, index)
-    except KeyError:
-        return order, None
-    items = map(names.__getitem__, ks)
-    if order.is_strict:
-        return WeakOrder.strict(items), ks
-    return WeakOrder(tuple(tuple(islice(items, len(cl))) for cl in order.classes)), ks
-
-
 def parse_instance(text: str) -> Instance:
     students: list[str] = []
     schools: list[str] = []
-    # each kind's ids and the place of each id declared so far (a repeat's last)
-    declared = {"students": (students, {}), "schools": (schools, {})}
+    declared = {"students": students, "schools": schools}
+    ids: dict[str, str] = {}   # the one object of each id the file names
     capacity: dict[str, int] = {}
     prefs: dict[str, WeakOrder] = {}
     prios: dict[str, WeakOrder] = {}
-    found: dict[str, dict] = {"pref": {}, "prio": {}}   # each order's item indices, or None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -80,30 +68,26 @@ def parse_instance(text: str) -> Instance:
         keyword, *rest = line.split(None, 1)
         rest = "".join(rest)
         if keyword in declared:
-            names, index = declared[keyword]
-            ids = rest.split()
-            index.update(zip(ids, range(len(names), len(names) + len(ids))))
-            names.extend(ids)
+            toks = rest.split()
+            declared[keyword].extend(map(ids.setdefault, toks, toks))
         elif keyword == "capacity":
             parts = rest.split()
             if len(parts) != 2:
                 raise ParseError("expected: capacity <school> <int>", lineno)
             if parts[0] in capacity:
                 raise ParseError(f"duplicate capacity line for {parts[0]}", lineno)
-            try:
-                capacity[parts[0]] = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad capacity {parts[1]!r}", lineno) from None
+            if not re.fullmatch("[+-]?[0-9]+", parts[1]):   # int() also reads 1_0, non-ASCII
+                raise ParseError(f"bad capacity {parts[1]!r}", lineno)
+            capacity[ids.setdefault(parts[0], parts[0])] = int(parts[1])
         elif keyword in ("pref", "prio"):
             owner, sep, ranking = rest.partition(":")
             owner = owner.strip()
             if not sep or not owner:
                 raise ParseError(f"expected: {keyword} <id>: a > b = c", lineno)
-            target, ranked = (prefs, "schools") if keyword == "pref" else (prios, "students")
+            target = prefs if keyword == "pref" else prios
             if owner in target:
                 raise ParseError(f"duplicate {keyword} line for {owner}", lineno)
-            order = _parse_order(ranking, lineno)
-            target[owner], found[keyword][owner] = _declared(order, *declared[ranked])
+            target[ids.setdefault(owner, owner)] = _parse_order(ranking, lineno, ids)
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno)
 
@@ -116,41 +100,28 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(f"pref, prio or capacity lines for undeclared ids {undeclared}")
     for s in schools:
         capacity.setdefault(s, 1)
-    instance = Instance._with_views(tuple(students), tuple(schools), capacity, prefs, prios,
-                                    student_index=declared["students"][1],
-                                    school_index=declared["schools"][1])
-    if not _valid(instance, found):
+    instance = Instance(tuple(students), tuple(schools), capacity, prefs, prios)
+    if not _valid(instance):
         raise ParseError("invalid instance: " + "; ".join(validate(instance)))
     return instance
 
 
-def _valid(inst: Instance, found: dict[str, dict]) -> bool:
-    """``not validate(inst)``, checked on indices while ``inst``'s integer
-    views get built from the item indices ``found`` as each line was read (an
-    order read before its ids were declared is looked up now), every rank an
-    object of one list.  A parsed order has no empty class: it is whole if it
-    has one item per index, all ranked."""
+def _valid(inst: Instance) -> bool:
+    """``not validate(inst)``, checked on the integer views ``inst`` builds
+    (and keeps) as any instance does; an order that is missing or names an
+    unknown id stops them with a ``KeyError``.  A parsed order has no empty
+    class: it is whole if it has one item per index, all ranked."""
     students, schools = inst.students, inst.schools
     if len(inst.student_index.keys() | inst.school_index.keys()) < len(students) + len(schools):
         return False   # some id repeats
-    try:   # a missing order or an unknown id
-        lists = [found["pref"][i] or _index_list(inst.prefs[i], inst.school_index)
-                 for i in students]
-        prio_ks = [found["prio"][s] or _index_list(inst.prios[s], inst.student_index)
-                   for s in schools]
+    try:
+        view, pref_rows = inst.int_view, inst.pref_rows
     except KeyError:
         return False
-    ranks = _ranks([*inst.prefs.values(), *inst.prios.values()])
-    rows = [_rank_row(inst.prios[s], inst.student_index, ks, ranks)
-            for s, ks in zip(schools, prio_ks)]
-    pref_rows = [_rank_row(inst.prefs[i], inst.school_index, ks, ranks)
-                 for i, ks in zip(students, lists)]
-    vars(inst).update(int_view=IntView(lists, rows, [inst.capacity[s] for s in schools]),
-                      pref_rows=pref_rows)
     orders = [*map(inst.prios.get, schools), *map(inst.prefs.get, students)]
-    return min(inst.int_view.seats) >= 1 and all(
+    return min(view.seats) >= 1 and all(
         len(order.items()) == len(row) - 1 and row[-1] + 1 not in row
-        for order, row in zip(orders, rows + pref_rows))
+        for order, row in zip(orders, view.prio_rows + pref_rows))
 
 
 def _format_order(order: WeakOrder) -> str:

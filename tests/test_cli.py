@@ -303,6 +303,16 @@ def test_strategy_dominance(capsys):
     assert report["verdict"] in ("dominates", "inconclusive")
 
 
+@pytest.mark.parametrize("check", ["anonymity", "positive-association", "same-class"])
+def test_strategy_file_with_ties_is_a_cli_error(capsys, check):
+    """A sweep over a FILE runs strict mechanisms on it as written: a FILE
+    with ties fails once, naming the check, not the library's tie_break."""
+    path = fix("scp6")   # i1: s1 = s2 > s3
+    assert main(["strategy", "--check", check, path]) == 1
+    error = f"error: --check {check} needs a strict FILE; {path} has ties\n"
+    assert capsys.readouterr().err == error
+
+
 SEAT_SHORTAGE = """students i1 i2 i3
 schools s1 s2
 pref i1: s1 > s2

@@ -1,4 +1,5 @@
 import collections
+import gc
 import random
 
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from schoolmatch import (
     Matching, dominates, is_efficient, is_reasonably_fair, is_stable, preference_index, sosm, ttc,
 )
-from schoolmatch import oracle, trading
+from schoolmatch import coalitions, oracle, trading
 from schoolmatch.errors import InstanceTooLargeError
 from schoolmatch.model import Instance, WeakOrder, rank, tie_break
+from schoolmatch.strategy import random_strict_instance
 
 
 def tiny(n_students, n_schools):
@@ -221,3 +223,26 @@ def test_graph_route_matches_oracle():
             answered["vacant"] += by_graph is False and not trading.has_trading_clique(
                 trading.build_graph(inst, matching))
     assert answered[True] > 500 and answered[False] > 200 and answered["vacant"] > 5, answered
+
+
+def test_searches_leave_no_cyclic_garbage():
+    """The seat-vector walk and the coalition-family walk recurse through
+    module-level generators, so a call leaves no reference cycle behind for
+    the cyclic collector: nothing to collect after each, the GC held off."""
+    inst = random_strict_instance(random.Random(1), 5, 4)
+    baseline, _ = sosm(inst)
+    calls = {
+        "stable_set": lambda: oracle.stable_set(inst),
+        "enumerate_matchings": lambda: list(oracle.enumerate_matchings(inst)),
+        "efficient_dominations_of": lambda: oracle.efficient_dominations_of(inst, baseline),
+        "enumerate_coalitions": lambda: coalitions.enumerate_coalitions(inst),
+    }
+    for name, call in calls.items():
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            left = gc.collect()
+        finally:
+            gc.enable()
+        assert left == 0, name

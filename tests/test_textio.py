@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import tracemalloc
 from itertools import chain
 from pathlib import Path
@@ -115,6 +116,27 @@ def test_parse_duplicate_capacity_rejected():
     assert str(err.value) == "line 4: duplicate capacity line for s1" and err.value.line == 4
 
 
+@pytest.mark.parametrize("size, error", [
+    ("1_0", "line 3: bad capacity '1_0'"),
+    ("\u0663", "line 3: bad capacity '\u0663'"),
+    ("+", "line 3: bad capacity '+'"),
+    ("0", "invalid instance: capacity must be >= 1 (school s1)"),
+    ("-1", "invalid instance: capacity must be >= 1 (school s1)"),
+])
+def test_capacity_is_a_plain_integer(size, error):
+    """A capacity is an optional sign and ASCII digits: ``int`` would also
+    read ``1_0`` as 10 and an Arabic-Indic three as 3.  A plain integer
+    below one still reaches ``validate``'s message."""
+    def text(size):
+        return f"students i1\nschools s1\ncapacity s1 {size}\npref i1: s1\nprio s1: i1\n"
+
+    with pytest.raises(ParseError) as err:
+        textio.parse_instance(text(size))
+    assert str(err.value) == error
+    assert outcome(reference_parse, text(size)) == (error, err.value.line)
+    assert textio.parse_instance(text("+12")).capacity == {"s1": 12}
+
+
 def test_parse_tab_after_directive():
     """Any whitespace separates a directive from its arguments, as it
     separates ids."""
@@ -149,10 +171,10 @@ def reference_parse(text):
                 raise ParseError("expected: capacity <school> <int>", lineno)
             if parts[0] in capacity:
                 raise ParseError(f"duplicate capacity line for {parts[0]}", lineno)
-            try:
-                capacity[parts[0]] = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad capacity {parts[1]!r}", lineno) from None
+            digits = parts[1][1:] if parts[1][0] in "+-" else parts[1]
+            if not (digits.isascii() and digits.isdigit()):   # a sign and ASCII digits only
+                raise ParseError(f"bad capacity {parts[1]!r}", lineno)
+            capacity[parts[0]] = int(parts[1])
         elif keyword in ("pref", "prio"):
             owner, sep, ranking = rest.partition(":")
             owner = owner.strip()
@@ -161,7 +183,7 @@ def reference_parse(text):
             target = prefs if keyword == "pref" else prios
             if owner in target:
                 raise ParseError(f"duplicate {keyword} line for {owner}", lineno)
-            target[owner] = textio._parse_order(ranking, lineno)
+            target[owner] = textio._parse_order(ranking, lineno, {})
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno)
     if not students:
@@ -386,16 +408,23 @@ def test_parser_hands_over_fresh_views():
 
 
 def test_orders_hold_the_declared_ids():
-    """On every corpus text, each declaring its ids before its orders, every
-    id in every parsed and every tie-broken order is the declared object."""
-    for text in corpus():
+    """On every corpus text, each declaring its ids before its orders, and on
+    each with its declarations split and moved after orders, every id in every
+    parsed and every tie-broken order is the declared object."""
+    rng = random.Random(63)
+    texts = corpus()
+    for text in texts:
         directives = [line.split()[0] for line in text.splitlines() if line.strip()[:1] not in "#"]
         assert set(directives[:2]) == {"students", "schools"}, text
+    late = 0   # texts with an order line before some declaration line
+    for text in texts + [shuffled_declarations(text, rng) for text in texts]:
+        late += bool(re.search(r"^pr(ef|io)\s.*^s(tudents|chools)\s", text, re.M | re.S))
         inst = textio.parse_instance(text)
         declared = {x: x for x in inst.students + inst.schools}
         for broken in (inst, tie_break(inst, 0), tie_break(inst, 7)):
             for order in (*broken.prefs.values(), *broken.prios.values()):
                 assert all(x is declared[x] for x in chain(order.items(), *order.classes))
+    assert late > 100
 
 
 def district_text(n_students, n_schools, rng):
@@ -476,7 +505,7 @@ def test_tokenized_rankings_match_the_separator_split():
     parsed = failed = weak = 0
     for _ in range(6000):
         text = random_ranking(rng)
-        got = outcome(lambda t: textio._parse_order(t, 3), text)
+        got = outcome(lambda t: textio._parse_order(t, 3, {}), text)
         want = outcome(lambda t: split_parse_order(t, 3), text)
         assert got == want, text
         if isinstance(want, WeakOrder):
