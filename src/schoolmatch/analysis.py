@@ -6,15 +6,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracle
 from .mechanisms import sosm
 from .model import Instance, Matching
 
 
-@dataclass(frozen=True)
-class ViolationRecord:
+class ViolationRecord(NamedTuple):
     """Student ``violator`` holds a seat at ``school`` that ``victim``
     both prefers to her own assignment and has higher priority for."""
 

@@ -6,9 +6,8 @@ reproduces the interrupter-removal outcome as a coalition."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InstanceTooLargeError
 from .mechanisms import eadam, sosm
@@ -16,8 +15,7 @@ from .model import Instance, Matching, WeakOrder
 from . import trading
 
 
-@dataclass(frozen=True)
-class Coalition:
+class Coalition(NamedTuple):
     """Cabal loops plus the accomplices who falsify their lists.
 
     Each loop is a tuple ``(i1, ..., ik)`` in which student ``i_k``
@@ -28,7 +26,10 @@ class Coalition:
 
     loops: tuple[tuple[str, ...], ...]
     accomplices: tuple[str, ...]
-    displaced: dict[str, frozenset[str]] = field(hash=False)
+    displaced: dict[str, frozenset[str]]
+
+    def __hash__(self):   # ``displaced``, a dict, is left out of the hash
+        return hash((self.loops, self.accomplices))
 
     @property
     def cabal(self) -> frozenset[str]:
@@ -148,8 +149,7 @@ def run_coalition(
     return outcome, verified
 
 
-@dataclass(frozen=True)
-class CoalitionOutcome:
+class CoalitionOutcome(NamedTuple):
     coalition: Coalition
     matching: Matching
     verified: bool

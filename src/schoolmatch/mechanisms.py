@@ -11,16 +11,14 @@ structures; break ties first (:func:`schoolmatch.model.tie_break`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .model import Instance, Matching
 
 
-@dataclass(frozen=True)
-class DaStep:
+class DaStep(NamedTuple):
     """One proposal wave: who proposed where, who is held, who was rejected."""
 
     proposers: tuple[str, ...]
@@ -29,7 +27,6 @@ class DaStep:
     rejections: dict[str, tuple[str, ...]]  # school -> students rejected this step
 
 
-@dataclass(frozen=True)
 class DaTrace:
     """One DA run as waves of indices ``(proposers, proposals, holds,
     rejections)``: the proposers, then dicts from each school the wave
@@ -37,9 +34,21 @@ class DaTrace:
     holds by priority and its rejections if any.  Students are in index
     order but for holds.  :attr:`steps` names the waves on first read."""
 
-    students: tuple[str, ...] = field(repr=False)
-    schools: tuple[str, ...] = field(repr=False)
-    waves: tuple[tuple[list[int], dict, dict, dict], ...]
+    def __init__(self, students: tuple[str, ...], schools: tuple[str, ...],
+                 waves: tuple[tuple[list[int], dict, dict, dict], ...]):
+        self.students, self.schools, self.waves = students, schools, waves
+
+    def _key(self):
+        return self.students, self.schools, self.waves
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"DaTrace(waves={self.waves!r})"
 
     @cached_property
     def steps(self) -> tuple[DaStep, ...]:
@@ -52,8 +61,7 @@ class DaTrace:
                      for proposers, *by_school in self.waves)
 
 
-@dataclass(frozen=True)
-class InterrupterPair:
+class InterrupterPair(NamedTuple):
     student: str
     school: str
     rejection_step: int
@@ -187,16 +195,27 @@ def _strike(instance: Instance, lists: list, pairs: Iterable[InterrupterPair]) -
         lists[k] = tuple(x for x in lists[k] if x != j)
 
 
-@dataclass(frozen=True)
 class EadamResult:
     """The outcome and the pairs each round removed.  :attr:`traces`
     replays the rounds on first read: DA on the instance's lists, then on
     each round's lists minus its removals.  DA is deterministic, so these
-    are the traces of the run."""
+    are the traces of the run.  Equality, hash and repr leave ``instance`` out."""
 
-    matching: Matching
-    removals: tuple[tuple[InterrupterPair, ...], ...]  # per round, pairs removed
-    instance: Instance = field(repr=False, compare=False)
+    def __init__(self, matching: Matching, removals: tuple[tuple[InterrupterPair, ...], ...],
+                 instance: Instance):   # removals: per round, the pairs removed
+        self.matching, self.removals, self.instance = matching, removals, instance
+
+    def _key(self):
+        return self.matching, self.removals
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"EadamResult(matching={self.matching!r}, removals={self.removals!r})"
 
     @cached_property
     def traces(self) -> tuple[DaTrace, ...]:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 UNASSIGNED = None
 
@@ -90,8 +89,7 @@ def rank(profile: WeakOrder, item: Optional[str]) -> int:
     return n + 1 if item is UNASSIGNED else n + 2
 
 
-@dataclass(frozen=True)
-class IntView:
+class IntView(NamedTuple):
     """An instance on indices: student k's list of school indices, each
     school's :func:`rank` of each student k, and the seat counts.
     Rows are shared between instances; never mutate them."""
@@ -101,7 +99,6 @@ class IntView:
     seats: list[int]
 
 
-@dataclass
 class Instance:
     """A school-choice problem: ids, seat counts, preferences, priorities.
 
@@ -110,11 +107,21 @@ class Instance:
     deterministic tie-break in the package.
     """
 
-    students: tuple[str, ...]
-    schools: tuple[str, ...]
-    capacity: dict[str, int]
-    prefs: dict[str, PreferenceProfile]
-    prios: dict[str, PriorityStructure]
+    def __init__(self, students: tuple[str, ...], schools: tuple[str, ...],
+                 capacity: dict[str, int], prefs: dict[str, PreferenceProfile],
+                 prios: dict[str, PriorityStructure]):
+        self.students, self.schools, self.capacity = students, schools, capacity
+        self.prefs, self.prios = prefs, prios
+
+    def _key(self):
+        return self.students, self.schools, self.capacity, self.prefs, self.prios
+
+    def __eq__(self, other):   # defining it leaves __hash__ None
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return ("Instance(students={!r}, schools={!r}, capacity={!r}, prefs={!r}, prios={!r})"
+                .format(*self._key()))
 
     @classmethod
     def _with_views(cls, *fields, **views) -> "Instance":
@@ -208,15 +215,22 @@ def _rank_row(order: WeakOrder, index: Mapping[str, int], ks=None, ranks=None) -
     return row
 
 
-@dataclass(frozen=True)
 class Matching:
     """A total assignment student -> school-or-UNASSIGNED."""
 
-    pairs: tuple[tuple[str, Optional[str]], ...]
-    _lookup: dict = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("pairs", "_lookup")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_lookup", dict(self.pairs))
+    def __init__(self, pairs: tuple[tuple[str, Optional[str]], ...]):
+        self.pairs, self._lookup = pairs, dict(pairs)
+
+    def __eq__(self, other):
+        return self.pairs == other.pairs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.pairs,))
+
+    def __repr__(self):
+        return f"Matching(pairs={self.pairs!r})"
 
     @classmethod
     def of(cls, assignment: Mapping[str, Optional[str]], instance: Instance) -> "Matching":

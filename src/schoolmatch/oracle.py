@@ -8,16 +8,14 @@ enforced up front."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import getitem
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InstanceTooLargeError
 from .model import Instance, Matching
 
 
-@dataclass(frozen=True)
-class OracleBound:
+class OracleBound(NamedTuple):
     max_students: int = 8
     max_total_matchings: int = 10_000_000
 

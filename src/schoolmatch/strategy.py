@@ -9,8 +9,7 @@ import enum
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import trading
 from .errors import PreconditionError
@@ -49,18 +48,17 @@ def random_strict_instance(
     prefs = {}
     for i in students:
         order = list(schools)
-        rng.shuffle(order)
+        _shuffle(rng, order)
         prefs[i] = WeakOrder.strict(order)
     prios = {}
     for s in schools:
         order = list(students)
-        rng.shuffle(order)
+        _shuffle(rng, order)
         prios[s] = WeakOrder.strict(order)
     return Instance(students, schools, capacity, prefs, prios)
 
 
-@dataclass(frozen=True)
-class QualityPartition:
+class QualityPartition(NamedTuple):
     """Ordered school classes; every profile must rank any school of an
     earlier class above every school of a later class."""
 
@@ -98,7 +96,6 @@ def class_respecting_profile(rng: random.Random, partition: QualityPartition) ->
     return WeakOrder.strict(order)
 
 
-@dataclass(frozen=True)
 class RandomProblemFamily:
     """Distribution over problems seen from one student's point of view.
 
@@ -108,15 +105,25 @@ class RandomProblemFamily:
     makes the draw symmetric under any same-class school swap.
     """
 
-    partition: QualityPartition
-    students: tuple[str, ...]
-    fixed_student: str
-    truth: WeakOrder
-    class_capacity: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.partition.respects(self.truth):
+    def __init__(self, partition: QualityPartition, students: tuple[str, ...],
+                 fixed_student: str, truth: WeakOrder, class_capacity: tuple[int, ...]):
+        if not partition.respects(truth):
             raise ValueError("truth profile must respect the quality classes")
+        self.partition, self.students, self.fixed_student = partition, students, fixed_student
+        self.truth, self.class_capacity = truth, class_capacity
+
+    def _key(self):
+        return self.partition, self.students, self.fixed_student, self.truth, self.class_capacity
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("RandomProblemFamily(partition={!r}, students={!r}, fixed_student={!r}, "
+                "truth={!r}, class_capacity={!r})".format(*self._key()))
 
     @property
     def schools(self) -> tuple[str, ...]:
@@ -280,16 +287,14 @@ class Verdict(enum.Enum):
     FAILS = "fails"
 
 
-@dataclass(frozen=True)
-class CdfPoint:
+class CdfPoint(NamedTuple):
     prefix: int          # top-k prefix of the true ranking
     truth_cdf: float
     alt_cdf: float
     band: float          # three-sigma binomial band at this point
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(NamedTuple):
     truth_dist: dict[Optional[str], float]
     alt_dist: dict[Optional[str], float]
     points: tuple[CdfPoint, ...]

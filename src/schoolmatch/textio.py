@@ -8,7 +8,8 @@ Grammar (comments ``#`` and blank lines ignored)::
     pref i1: s2 > s1 = s3    # '>' strict, '=' ties within a class
     prio s1: i1 > i3 > i2
 
-Matching files are ``student school`` lines, ``-`` for unassigned.
+Matching files are ``student school`` lines, ``-`` for unassigned, so no
+school may be named ``-``.
 
 :func:`parse_instance` reads every id through one table per file, so the
 first object seen for an id is the one each later mention holds, declared or
@@ -69,6 +70,8 @@ def parse_instance(text: str) -> Instance:
         rest = "".join(rest)
         if keyword in declared:
             toks = rest.split()
+            if keyword == "schools" and "-" in toks:
+                raise ParseError("school id '-' is reserved for unassigned", lineno)
             declared[keyword].extend(map(ids.setdefault, toks, toks))
         elif keyword == "capacity":
             parts = rest.split()

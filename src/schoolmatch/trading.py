@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
-from typing import Collection, Iterator, Optional
+from typing import Collection, Iterator, NamedTuple, Optional
 
 from .errors import CycleLimitExceededError, SearchLimitExceededError
 from .mechanisms import _deferred_acceptance, sosm
@@ -26,8 +25,7 @@ class CliqueKind(enum.Enum):
     NULL = "null"
 
 
-@dataclass(frozen=True)
-class Clique:
+class Clique(NamedTuple):
     """A cycle of students; each receives the assignment of the next."""
 
     cycle: tuple[str, ...]
@@ -116,10 +114,15 @@ def _cycles(
         fresh = seed & free
         while fresh:
             reach, nxt = reach | fresh, 0
-            while fresh:
-                low = fresh & -fresh
-                fresh ^= low
-                nxt |= points[seat[low.bit_length() - 1]]
+            if fresh.bit_count() > len(held):   # fewer groups than students: step by group
+                for p, h in zip(points, held):
+                    if h & fresh:
+                        nxt |= p
+            else:
+                while fresh:
+                    low = fresh & -fresh
+                    fresh ^= low
+                    nxt |= points[seat[low.bit_length() - 1]]
             fresh = nxt & free & ~reach
         return reach
 
@@ -237,8 +240,7 @@ def has_trading_clique(graph: SeatGraph, vacant: Collection[int] = ()) -> bool:
                for g, into in enumerate(graph.into) for k, w in into.items())
 
 
-@dataclass(frozen=True)
-class TadamResult:
+class TadamResult(NamedTuple):
     matching: Matching
     baseline: Matching
     applied: tuple[Clique, ...]
@@ -314,8 +316,7 @@ def reachable(
                 stack.append(nxt)
 
 
-@dataclass(frozen=True)
-class TadamEnumeration:
+class TadamEnumeration(NamedTuple):
     terminals: frozenset[Matching]
     # Null-clique closures of the terminals; equal closures mean the
     # terminals differ only by swaps among indifferent students.

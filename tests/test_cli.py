@@ -550,6 +550,23 @@ loaded()
     assert proc.stdout == f"{want}\n{want}\n"
 
 
+@pytest.mark.parametrize("modules", ["cli", "every"])
+def test_package_import_leaves_dataclasses_and_inspect_unloaded(modules):
+    """A fresh ``import schoolmatch.cli``, and one of the package and every
+    submodule, load neither ``dataclasses`` nor ``inspect``: the records are
+    NamedTuples and plain classes, so no import generates their methods."""
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    names = ["schoolmatch.cli"] if modules == "cli" else ["schoolmatch", *(
+        f"schoolmatch.{p.stem}" for p in sorted((src / "schoolmatch").glob("[!_]*.py")))]
+    code = f"import sys, {', '.join(names)}\n" \
+        'print(sorted({"dataclasses", "inspect"} & sys.modules.keys()))'
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_enumerating_commands_run_without_networkx():
     """With networkx unimportable, the commands that enumerate cycles
     print their golden output on every fixture."""

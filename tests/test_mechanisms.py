@@ -8,7 +8,7 @@ import pytest
 
 from schoolmatch import Matching, is_stable, preference_index, sosm, ttc
 from schoolmatch.mechanisms import (
-    DaStep, InterrupterPair, eadam, hopeless_students, interrupters,
+    DaStep, EadamResult, InterrupterPair, eadam, hopeless_students, interrupters,
 )
 from schoolmatch.model import UNASSIGNED, WeakOrder, Instance, rank, tie_break
 from schoolmatch.strategy import random_strict_instance
@@ -351,11 +351,14 @@ def test_pointer_loops_match_rescanning_references():
     for inst in instances:
         matching, trace = sosm(inst)
         assert (matching, trace.steps) == rescanning_sosm(inst)
+        assert hash(matching) == hash((matching.pairs,))   # sets of matchings keep their order
         assert interrupters(trace) == step_interrupters(trace.steps)
         assert hopeless_students(trace) == step_hopeless(trace.steps)
         assert ttc(inst) == rescanning_ttc(inst)
         consent = frozenset(i for i in inst.students if rng.random() < 0.8)
         result = eadam(inst, consent)
+        alike = EadamResult(result.matching, result.removals, None)   # ``instance`` is not compared
+        assert result == alike and hash(result) == hash(alike)
         assert (result.matching, result.removals, tuple(t.steps for t in result.traces)) \
             == rescanning_eadam(inst, consent)
         assert len(result.traces) == len(result.removals) + 1

@@ -123,7 +123,7 @@ def test_replace_prefs_carries_built_views():
             kept = [k for k, i in enumerate(students) if i not in new]
             assert all(result.int_view.lists[k] is source.int_view.lists[k] for k in kept)
         fresh = Instance(students, schools, result.capacity, result.prefs, result.prios)
-        assert result == fresh
+        assert result == fresh and result.__hash__ is None   # equal, and unhashable
         for name in VIEWS:
             assert getattr(result, name) == getattr(fresh, name), name
 

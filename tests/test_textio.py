@@ -152,8 +152,9 @@ def test_parse_tab_after_directive():
 
 def reference_parse(text):
     """The name-level route: parse every line to names, then report what
-    ``validate`` finds.  It keeps the two input rules the parser gained on
-    purpose: any whitespace after a directive, and no second capacity line."""
+    ``validate`` finds.  It keeps the three input rules the parser gained on
+    purpose: any whitespace after a directive, no second capacity line, and
+    no school named ``-``, which a matching file reads as unassigned."""
     students, schools, capacity, prefs, prios = [], [], {}, {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -164,6 +165,8 @@ def reference_parse(text):
         if keyword == "students":
             students.extend(rest.split())
         elif keyword == "schools":
+            if "-" in rest.split():
+                raise ParseError("school id '-' is reserved for unassigned", lineno)
             schools.extend(rest.split())
         elif keyword == "capacity":
             parts = rest.split()
@@ -296,6 +299,7 @@ MUTATIONS = {
     "duplicate pref": _repeat("pref"),
     "duplicate prio": _repeat("prio"),
     "empty id": _insert(lambda lines, rng: f"pref {rng.choice(['ghost', 'i1'])}: s1 > > s2"),
+    "school named -": _insert(lambda lines, rng: rng.choice(["schools -", "schools zz - yy"])),
     # ParseErrors after the line loop
     "no students": _drop("students"),
     "no schools": _drop("schools"),
@@ -318,8 +322,9 @@ MUTATIONS = {
 MESSAGE_KINDS = (
     "unknown directive", "expected: capacity", "bad capacity", "duplicate capacity line",
     "expected: pref", "expected: prio", "duplicate pref line", "duplicate prio line",
-    "empty id in ranking", "no students declared", "no schools declared", "undeclared ids",
-    "duplicate student ids", "duplicate school ids", "ids used as both", "capacity must be >= 1",
+    "empty id in ranking", "reserved for unassigned", "no students declared",
+    "no schools declared", "undeclared ids", "duplicate student ids", "duplicate school ids",
+    "ids used as both", "capacity must be >= 1",
     "missing preference profile", "incomplete priority", "duplicate school s", "unknown school",
     "missing schools", "duplicate student i", "unknown student", "missing students",
 )
