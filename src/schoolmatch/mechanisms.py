@@ -32,7 +32,8 @@ class DaTrace:
     rejections)``: the proposers, then dicts from each school the wave
     proposed to (in order of first proposal) to its new proposers, its
     holds by priority and its rejections if any.  Students are in index
-    order but for holds.  :attr:`steps` names the waves on first read."""
+    order but for holds.  :attr:`steps` names the waves on first read.
+    Treated as immutable; unhashable, as its waves are."""
 
     def __init__(self, students: tuple[str, ...], schools: tuple[str, ...],
                  waves: tuple[tuple[list[int], dict, dict, dict], ...]):
@@ -43,9 +44,6 @@ class DaTrace:
 
     def __eq__(self, other):
         return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"DaTrace(waves={self.waves!r})"
@@ -199,7 +197,8 @@ class EadamResult:
     """The outcome and the pairs each round removed.  :attr:`traces`
     replays the rounds on first read: DA on the instance's lists, then on
     each round's lists minus its removals.  DA is deterministic, so these
-    are the traces of the run.  Equality, hash and repr leave ``instance`` out."""
+    are the traces of the run.  Equality, hash and repr leave ``instance``
+    out.  Treated as immutable."""
 
     def __init__(self, matching: Matching, removals: tuple[tuple[InterrupterPair, ...], ...],
                  instance: Instance):   # removals: per round, the pairs removed

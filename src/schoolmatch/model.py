@@ -216,7 +216,8 @@ def _rank_row(order: WeakOrder, index: Mapping[str, int], ks=None, ranks=None) -
 
 
 class Matching:
-    """A total assignment student -> school-or-UNASSIGNED."""
+    """A total assignment student -> school-or-UNASSIGNED.  Treated as
+    immutable: its hash and lookup are those of the pairs it was built with."""
 
     __slots__ = ("pairs", "_lookup")
 

@@ -102,7 +102,8 @@ class RandomProblemFamily:
     The fixed student's report is supplied per trial; everybody else draws
     a class-respecting strict profile and every school a strict priority,
     uniformly.  Schools of one quality class share one capacity, which
-    makes the draw symmetric under any same-class school swap.
+    makes the draw symmetric under any same-class school swap.  Treated
+    as immutable.
     """
 
     def __init__(self, partition: QualityPartition, students: tuple[str, ...],

@@ -107,6 +107,7 @@ def _cycles(
         gain.append(w)
     exact = trading and all(p == w | h for p, w, h in zip(points, gain, held))
     seeds = gain if exact else points
+    outside = [((1 << n) - 1) ^ h for h in held]   # everyone but group g's holders
 
     def ahead(v: int, on: int, seed: int) -> int:
         """The students above v, off the path ``on``, that reach ``seed`` off it."""
@@ -114,15 +115,10 @@ def _cycles(
         fresh = seed & free
         while fresh:
             reach, nxt = reach | fresh, 0
-            if fresh.bit_count() > len(held):   # fewer groups than students: step by group
-                for p, h in zip(points, held):
-                    if h & fresh:
-                        nxt |= p
-            else:
-                while fresh:
-                    low = fresh & -fresh
-                    fresh ^= low
-                    nxt |= points[seat[low.bit_length() - 1]]
+            while fresh:   # once per group the frontier touches
+                g = seat[(fresh & -fresh).bit_length() - 1]
+                nxt |= points[g]
+                fresh &= outside[g]
             fresh = nxt & free & ~reach
         return reach
 
